@@ -25,6 +25,7 @@ from .core import (
     PcsimpError,
     PointCloud,
     RunRecord,
+    SENTINEL,
     ratio_to_count,
 )
 from .io import format_report, read_cloud, write_cloud, write_report
@@ -87,8 +88,21 @@ def _resolve_m(args, n: int) -> int:
     raise PcsimpError("one of --count or --ratio is required")
 
 
-def _sampler_fn(method: str, args, config: CasNetConfig, weights):
-    """Returns f(cloud, m, seed) -> (PointCloud, indices or None)."""
+def _casnet_setup(config: CasNetConfig, weights, m: int, what: str):
+    """Config and weights for m output points, built before any timing starts."""
+    cfg = CasNetConfig(**{**config.__dict__, "m": m, "ratio": None})
+    w = weights if weights is not None else casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
+    if w.m != m:
+        raise PcsimpError(f"{what}: weights emit m={w.m} points but m={m} is needed")
+    return cfg, w
+
+
+def _sampler_fn(method: str, args, casnet_setups: dict):
+    """Returns f(cloud, m, seed) -> (PointCloud, indices or None).
+
+    casnet_setups maps each m the learned sampler will be asked for to its
+    (config, weights) pair from `_casnet_setup`.
+    """
     if method == "rs":
         return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.random_sample(cloud, m, seed))
     if method == "fps":
@@ -97,15 +111,7 @@ def _sampler_fn(method: str, args, config: CasNetConfig, weights):
         chunks = getattr(args, "chunks", None) or 8
         return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.fps_chunked(cloud, m, chunks))
     if method == "casnet":
-
-        def run(cloud, m, seed):
-            cfg = CasNetConfig(**{**config.__dict__, "m": m, "ratio": None})
-            w = weights if weights is not None else casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
-            if w.m != m:
-                raise PcsimpError(f"weights emit m={w.m} points but m={m} was requested")
-            return casnet.sample(cloud, cfg, w)
-
-        return run
+        return lambda cloud, m, seed: casnet.sample(cloud, *casnet_setups[m])
     raise PcsimpError(f"unknown method {method!r}")
 
 
@@ -113,12 +119,12 @@ def cmd_sample(args) -> int:
     cloud = read_cloud(args.input, args.format)
     m = _resolve_m(args, cloud.n)
     config = _config_from_args(args)
-    weights = None
+    setups = {}
     if args.method == "casnet":
         if not args.weights:
             raise PcsimpError("casnet requires --weights")
-        weights = _load_sampler_weights(args.weights)
-    fn = _sampler_fn(args.method, args, config, weights)
+        setups[m] = _casnet_setup(config, _load_sampler_weights(args.weights), m, args.input)
+    fn = _sampler_fn(args.method, args, setups)
 
     started = time.perf_counter()
     sampled, indices = fn(cloud, m, args.seed)
@@ -176,11 +182,19 @@ def cmd_bench(args) -> int:
         head = training.ToyTaskHead.from_arrays(ad.load_arrays(args.head))
         if args.labels:
             labels = _read_labels(args.labels)
+    setups = {}
+    if "casnet" in methods:
+        # a checkpoint emits one m: a pair that needs another fails here, before any timing
+        for ratio in ratios:
+            for name, cloud in clouds:
+                m = ratio_to_count(cloud.n, ratio)
+                if m not in setups:
+                    setups[m] = _casnet_setup(config, weights, m, f"{name} at ratio {ratio}")
 
     records = []
     for method in methods:
         for ratio in ratios:
-            fn = _sampler_fn(method, args, config, weights)
+            fn = _sampler_fn(method, args, setups)
             batch_times = []
             outputs = None
             for rep in range(args.repeats):
@@ -249,20 +263,14 @@ def cmd_nnbench(args) -> int:
                 else:
                     table = nnsearch.kdtree_knn(nnsearch.kdtree_build(cloud), cloud, k)
                 elapsed = time.perf_counter() - started
+                expected = reference
                 if backend == "ball_query":
-                    # within-radius contract rather than exact k-NN equality
-                    ok = True
-                    idx = table.indices
-                    for i in range(n):
-                        row = idx[i][idx[i] >= 0]
-                        d = ((cloud.points[row] - cloud.points[i]) ** 2).sum(axis=1)
-                        if (d > args.radius**2).any():
-                            ok = False
-                            break
-                    verdict = "radius-ok" if ok else "RADIUS-VIOLATION"
-                else:
-                    ok = np.array_equal(table.indices, reference)
-                    verdict = "match" if ok else "MISMATCH"
+                    # rows are nearest-first, so the in-radius entries of the k-NN rows form a prefix
+                    diff = cloud.points[reference] - cloud.points[:, None, :]
+                    inside = (diff * diff).sum(axis=-1) <= np.asarray(args.radius, dtype=cloud.points.dtype) ** 2
+                    expected = np.where(inside, reference, SENTINEL)
+                ok = np.array_equal(table.indices, expected)
+                verdict = "match" if ok else "MISMATCH"
                 if not ok:
                     failures += 1
                 print(f"{n:>6} {k:>4} {backend:<15} {elapsed:>10.6f}  {verdict}")

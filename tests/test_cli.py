@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pcsimp import autodiff as ad
-from pcsimp import casnet
+from pcsimp import casnet, classic_samplers, nnsearch
 from pcsimp.cli import main
-from pcsimp.core import CasNetConfig, PointCloud
+from pcsimp.core import CasNetConfig, NeighborTable, PointCloud
 from pcsimp.io import read_xyz, write_xyz
 
 
@@ -144,12 +144,48 @@ def test_bench_casnet_without_weights_times_random_init(tmp_path):
     assert row.startswith("casnet,128,64,1,1,")
 
 
+def test_bench_rejects_mismatched_weights_before_timing(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "clouds"
+    data.mkdir()
+    for i in range(2):
+        write_xyz(data / f"c{i}.xyz", PointCloud(rng.uniform(size=(64, 3)).astype(np.float32)))
+    config = CasNetConfig(k=1, oa_layers=1, c=16, m=32, embed_hidden=16, score_hidden=16, mode="ahsn")
+    weights = tmp_path / "w.pcw"
+    _write_weights(weights, config, 32)
+    calls = []
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs"))
+    monkeypatch.setattr(casnet, "sample", lambda *a: calls.append("casnet"))
+    code = main(
+        [
+            "bench", "--input", str(data), "--methods", "rs,casnet", "--ratios", "2,4", "--repeats", "1",
+            "--weights", str(weights), "--k", "1", "--oa", "1",
+        ]
+    )
+    assert code == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "m=32" in captured.err and "m=16" in captured.err
+
+
 def test_nnbench_verifies_backends(capsys):
     code = main(["nnbench", "--n", "64", "--k", "1,4", "--radius", "2.0"])
     assert code == 0
     out = capsys.readouterr().out
     assert "match" in out and "MISMATCH" not in out
-    assert "radius-ok" in out
+    rows = out.splitlines()[1:]
+    assert sum("ball_query" in row for row in rows) == 2
+    assert all(row.endswith("match") for row in rows)
+
+
+def test_nnbench_flags_a_ball_query_with_reversed_rows(monkeypatch, capsys):
+    exact = nnsearch.ball_query
+    # every reversed row still lists only in-radius neighbours, in the wrong order
+    monkeypatch.setattr(nnsearch, "ball_query", lambda cloud, radius, k: NeighborTable(exact(cloud, radius, k).indices[:, ::-1]))
+    code = main(["nnbench", "--n", "512", "--k", "8", "--backends", "ball_query", "--radius", "0.3"])
+    assert code == 1
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_gradcheck_ops(capsys):
