@@ -11,6 +11,7 @@ retention.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable, Sequence
@@ -81,6 +82,19 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward
     return out
+
+
+def custom(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """A node whose backward is written by hand: vjp(g) returns one gradient
+    per parent, in order. When no parent requires a gradient the node keeps
+    neither parents nor vjp, so nothing vjp refers to stays alive."""
+
+    def bw(g):
+        for p, gp in zip(parents, vjp(g)):
+            if p.requires_grad:
+                _accumulate(p, gp)
+
+    return _make(data, parents, bw)
 
 
 def backward(root: Tensor) -> None:
@@ -349,15 +363,16 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _make(np.asarray(loss), (logits,), bw)
 
 
-def ste_harden(soft: Tensor) -> Tensor:
-    """One-hot per-column argmax in the forward pass, identity in the backward.
+def ste_harden(soft: Tensor, rows: np.ndarray) -> Tensor:
+    """One-hot per column in the forward pass, identity in the backward.
 
-    The straight-through rule: gradients reaching the hardened matrix flow to
-    the soft matrix unchanged, as if the soft matrix had been used forward.
+    Column j is 1 at rows[j]. The straight-through rule: gradients reaching
+    the hardened matrix flow to the soft matrix unchanged, as if the soft
+    matrix had been used forward.
     """
     n, m = soft.data.shape
     hard = np.zeros_like(soft.data)
-    hard[soft.data.argmax(axis=0), np.arange(m)] = 1.0
+    hard[rows, np.arange(m)] = 1.0
 
     def bw(g):
         if soft.requires_grad:
@@ -420,8 +435,18 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
         raise IoFailureError(str(e)) from e
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by save_arrays; arrays come back as float32."""
+    """Read a container written by save_arrays; arrays come back as float32.
+
+    The manifest is validated before any array is read: a list of entries,
+    each a unique string name, a shape of non-negative integers and a
+    non-negative integer offset, the arrays lying inside the payload without
+    overlapping. Every value must be finite. Any failure is an IoFailureError.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -436,14 +461,34 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         manifest = json.loads(raw[5 : 5 + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IoFailureError(f"{path}: bad manifest: {e}") from e
-    payload = raw[5 + blob_len :]
-    out = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
+    payload = memoryview(raw)[5 + blob_len :]
+    if not isinstance(manifest, list):
+        raise IoFailureError(f"{path}: manifest is not a list of entries")
+    spans = []
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise IoFailureError(f"{path}: manifest entry {i} is not an object")
+        name, shape, start = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str):
+            raise IoFailureError(f"{path}: manifest entry {i} has no string name")
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise IoFailureError(f"{path}: {name}: shape must be a list of non-negative integers")
+        if not _is_count(start):
+            raise IoFailureError(f"{path}: {name}: offset must be a non-negative integer")
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
-            raise IoFailureError(f"{path}: payload shorter than manifest claims")
-        out[entry["name"]] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+            raise IoFailureError(f"{path}: {name}: payload shorter than manifest claims")
+        spans.append((start, end, name, tuple(shape)))
+    if len({name for _, _, name, _ in spans}) != len(spans):
+        raise IoFailureError(f"{path}: duplicate array names in manifest")
+    by_offset = sorted(spans)
+    for (_, prev_end, prev, _), (start, _, name, _) in zip(by_offset, by_offset[1:]):
+        if start < prev_end:
+            raise IoFailureError(f"{path}: arrays {prev} and {name} overlap")
+    out = {}
+    for start, end, name, shape in spans:
+        arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise IoFailureError(f"{path}: {name}: non-finite values")
+        out[name] = arr
     return out

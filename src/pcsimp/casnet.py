@@ -2,10 +2,12 @@
 
 Pipeline: neighbor grouping -> per-point feature embedding -> stacked
 offset-attention layers -> soft sampling matrix -> soft (ASSN) or hardened
-(AHSN) selection. The graph-building forward() supports training with the
-straight-through backward; sample() is a graph-free inference path tuned for
-the benchmark (blocked fused attention, hard selection by argmax without
-materializing the column softmax).
+(AHSN) selection. The network is defined once: embed, offset_attention and
+soft_matrix are each one autodiff node computed over plain arrays, with a
+hand-written backward. forward() joins them on the tape for training (the
+straight-through rule, the sampled points and the losses stay tape ops);
+sample() runs the same layers on weights that require no gradient, so no
+layer keeps an activation and attention runs in row blocks.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class CasNetWeights:
         out[f"{prefix}rho.hidden.b"] = self.rho_hidden[1].data
         out[f"{prefix}rho.out.w"] = self.rho_out.data
         return out
+
+    def detached(self, dtype) -> "CasNetWeights":
+        """The same values in `dtype`, as constants: layers given these keep
+        nothing for a backward pass."""
+        return CasNetWeights.from_arrays({k: v.astype(dtype, copy=False) for k, v in self.to_arrays().items()})
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "", requires_grad: bool = False) -> "CasNetWeights":
@@ -193,64 +200,148 @@ def combine(cloud: PointCloud, grouped: np.ndarray) -> np.ndarray:
     return np.concatenate([dup, grouped], axis=2)
 
 
+def _affine_relu(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    h = x @ w.data
+    h += b.data
+    return np.maximum(h, 0, out=h)
+
+
 def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
-    """Shared per-slot MLP followed by max-pooling over the neighbor axis."""
+    """Shared per-slot MLP followed by max-pooling over the neighbor axis.
+
+    One node. Its backward puts each pooled gradient into the slot that held
+    the maximum (ties to the lowest slot), then runs the MLP backward.
+    """
     n, k, width = combined.shape
     (w1, b1), (w2, b2) = weights.sigma
     if width != w1.data.shape[0]:
         raise ShapeMismatchError(f"combined width {width} vs sigma input {w1.data.shape[0]}")
-    x = Tensor(combined.reshape(n * k, width).astype(w1.data.dtype, copy=False))
-    h = ad.relu(ad.add_rowvec(ad.matmul(x, w1), b1))
-    h = ad.add_rowvec(ad.matmul(h, w2), b2)
-    per_slot = ad.reshape(h, (n, k, weights.c))
-    return ad.max_over_axis(per_slot, axis=1)
+    x = combined.reshape(n * k, width).astype(w1.data.dtype, copy=False)
+    h = _affine_relu(x, w1, b1)
+    per_slot = h @ w2.data
+    per_slot += b2.data
+    per_slot = per_slot.reshape(n, k, -1)
 
+    def vjp(g):
+        g_slot = np.zeros_like(per_slot)
+        g_slot[np.arange(n)[:, None], per_slot.argmax(axis=1), np.arange(g.shape[1])] = g
+        g_slot = g_slot.reshape(n * k, -1)
+        g_h = g_slot @ w2.data.T
+        g_h *= h > 0
+        return x.T @ g_h, g_h.sum(axis=0), h.T @ g_slot, g_slot.sum(axis=0)
 
-def self_attention(f_in: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product attention; each query row of the score matrix is normalized."""
-    d_k = wk.data.shape[1]
-    q = ad.matmul(f_in, wq)
-    k = ad.matmul(f_in, wk)
-    v = ad.matmul(f_in, wv)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    return ad.matmul(ad.softmax(scores, axis=1), v)
-
-
-def _gamma(x: Tensor, lay: OaLayerWeights) -> Tensor:
-    return ad.relu(ad.add_rowvec(ad.matmul(x, lay.wg), lay.bg))
+    return ad.custom(per_slot.max(axis=1), (w1, b1, w2, b2), vjp)
 
 
 def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
-    """gamma(F_in - F_sa) + F_in."""
-    f_sa = self_attention(f_in, lay.wq, lay.wk, lay.wv)
-    return ad.add(_gamma(ad.sub(f_in, f_sa), lay), f_in)
+    """gamma(F_in - F_sa) + F_in, where F_sa = softmax(Q K^T / sqrt(d_k)) V
+    normalizes each query row and gamma = relu(x Wg + bg).
+
+    One node. Scores are computed in row blocks, each block's softmax
+    normalization folded into its small output. Without a gradient to keep,
+    the blocks share one buffer and no n-by-n matrix exists; with one, they
+    fill the n-by-n matrix of exponentials the backward needs. Both ways give
+    the same values.
+    """
+    parents = (f_in, lay.wq, lay.wk, lay.wv, lay.wg, lay.bg)
+    keep = any(p.requires_grad for p in parents)
+    f = f_in.data
+    n = f.shape[0]
+    inv_sqrt_dk = f.dtype.type(1.0 / np.sqrt(lay.wk.data.shape[1]))
+    q = f @ lay.wq.data
+    q *= inv_sqrt_dk
+    kt = (f @ lay.wk.data).T
+    v = f @ lay.wv.data
+    block = ATTENTION_BLOCK_ROWS
+    expo = np.empty((n, n) if keep else (min(block, n), n), dtype=q.dtype)
+    sums = np.empty((n, 1), dtype=q.dtype)
+    f_sa = np.empty_like(v)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        e = expo[lo:hi] if keep else expo[: hi - lo]
+        np.matmul(q[lo:hi], kt, out=e)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e.sum(axis=1, keepdims=True, out=sums[lo:hi])
+        np.matmul(e, v, out=f_sa[lo:hi])
+        f_sa[lo:hi] /= sums[lo:hi]
+    diff = f - f_sa
+    gamma = _affine_relu(diff, lay.wg, lay.bg)
+    out = gamma + f
+    if not keep:
+        return Tensor(out)
+
+    def vjp(g):
+        probs = expo / sums
+        g_pre = g * (gamma > 0)
+        g_diff = g_pre @ lay.wg.data.T
+        g_probs = g_diff @ v.T  # the gradient of P, negated: F_sa enters as -F_sa
+        # row-softmax backward; the row sums of g_probs * P are g_diff . F_sa per row
+        g_scores = probs * ((g_diff * f_sa).sum(axis=1, keepdims=True) - g_probs)
+        g_q = g_scores @ kt.T
+        g_q *= inv_sqrt_dk
+        g_k = g_scores.T @ q
+        g_v = -(probs.T @ g_diff)
+        g_f = g + g_diff + g_q @ lay.wq.data.T + g_k @ lay.wk.data.T + g_v @ lay.wv.data.T
+        return g_f, f.T @ g_q, f.T @ g_k, f.T @ g_v, diff.T @ g_pre, g_pre.sum(axis=0)
+
+    return ad.custom(out, parents, vjp)
 
 
-def self_attention_layer(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
-    """gamma(F_sa) + F_in; selectable alternative, not used by the default stack."""
-    f_sa = self_attention(f_in, lay.wq, lay.wk, lay.wv)
-    return ad.add(_gamma(f_sa, lay), f_in)
-
-
-def asm(f_pointwise: Tensor, weights: CasNetWeights, oa_layers: int, layer_type: str = "oa") -> tuple[Tensor, list[Tensor]]:
+def asm(f_pointwise: Tensor, weights: CasNetWeights, oa_layers: int) -> tuple[Tensor, list[Tensor]]:
     """Stack of skip-connected attention layers; outputs concatenated column-wise."""
-    layer_fn = offset_attention if layer_type == "oa" else self_attention_layer
     outputs = []
     current = f_pointwise
     for lay in weights.layers[:oa_layers]:
-        current = layer_fn(current, lay)
+        current = offset_attention(current, lay)
         outputs.append(current)
     return ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], outputs
 
 
-def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int) -> Tensor:
-    """Score MLP then softmax over the input-point axis: each column sums to 1."""
+def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: bool = True) -> tuple[Tensor | None, np.ndarray]:
+    """Score MLP, then softmax over the input-point axis: each column of S~ sums to 1.
+
+    One node, returned with each column's argmax over the logits (ties to the
+    lower row): the rows a hard sample selects. Training and inference both
+    select from the logits, because the softmax can round two nearly equal
+    logits to one value. The logits are formed in row blocks under a running
+    argmax; with keep_soft=False (hard inference) the blocks share one buffer
+    and S~ is not formed, and None is returned in its place.
+    """
     w1, b1 = weights.rho_hidden
-    if weights.rho_out.data.shape[1] != m:
-        raise ShapeMismatchError(f"score head emits {weights.rho_out.data.shape[1]} columns, expected m={m}")
-    h = ad.relu(ad.add_rowvec(ad.matmul(f_concat, w1), b1))
-    logits = ad.matmul(h, weights.rho_out)
-    return ad.softmax(logits, axis=0)
+    w2 = weights.rho_out
+    if w2.data.shape[1] != m:
+        raise ShapeMismatchError(f"score head emits {w2.data.shape[1]} columns, expected m={m}")
+    f = f_concat.data
+    n = f.shape[0]
+    h = _affine_relu(f, w1, b1)
+    block = ATTENTION_BLOCK_ROWS
+    logits = np.empty((n, m) if keep_soft else (min(block, n), m), dtype=h.dtype)
+    best = np.full(m, -np.inf, dtype=h.dtype)
+    rows = np.zeros(m, dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        lb = logits[lo:hi] if keep_soft else logits[: hi - lo]
+        np.matmul(h[lo:hi], w2.data, out=lb)
+        block_max = lb.max(axis=0)
+        improved = block_max > best
+        if improved.any():
+            rows[improved] = lb[:, improved].argmax(axis=0) + lo
+            best[improved] = block_max[improved]
+    if not keep_soft:
+        return None, rows
+    soft = logits
+    soft -= best
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=0, keepdims=True)
+
+    def vjp(g):
+        g_logits = soft * (g - (g * soft).sum(axis=0, keepdims=True))
+        g_h = g_logits @ w2.data.T
+        g_h *= h > 0
+        return g_h @ w1.data.T, f.T @ g_h, g_h.sum(axis=0), h.T @ g_logits
+
+    return ad.custom(soft, (f_concat, w1, b1, w2), vjp), rows
 
 
 def harden(soft: SoftSamplingMatrix) -> HardSamplingMatrix:
@@ -275,27 +366,31 @@ def sample_hard(hard: HardSamplingMatrix, cloud: PointCloud) -> PointCloud:
     return PointCloud(cloud.points[hard.selected_rows()])
 
 
-def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, ForwardCache]:
-    """Graph-building forward pass; the cache retains every intermediate."""
+def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
+    """Neighbor search, grouping, embedding and the attention stack, in the weights' dtype."""
     validate_cloud(cloud)
     config.validate(cloud.n)
-    m = config.output_count(cloud.n)
     dtype = weights.sigma[0][0].data.dtype
-    pts = cloud.points.astype(dtype, copy=False)
-
+    # looked up in this module at call time, so a wrapper set here sees every search
     neighbors = find_neighbors(cloud, config.backend, config.k, config.radius)
     f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
     f_pointwise = embed(f_combine, weights)
-    f_concat, f_oa = asm(f_pointwise, weights, config.oa_layers, config.layer_type)
-    s_tilde = soft_matrix(f_concat, weights, m)
+    f_concat, f_oa = asm(f_pointwise, weights, config.oa_layers)
+    return neighbors, f_group, f_combine, f_pointwise, f_oa, f_concat
 
-    p_in = Tensor(pts)
+
+def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, ForwardCache]:
+    """Graph-building forward pass; the cache retains every intermediate."""
+    neighbors, f_group, f_combine, f_pointwise, f_oa, f_concat = _encode(cloud, config, weights)
+    s_tilde, rows = soft_matrix(f_concat, weights, config.output_count(cloud.n))
+
+    p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
     if config.mode == "ahsn":
-        hard_t = ad.ste_harden(s_tilde)
+        hard_t = ad.ste_harden(s_tilde, rows)
         p_sp = ad.matmul(ad.transpose(hard_t), p_in)
         hard = HardSamplingMatrix(hard_t.data)
-        out_cloud = PointCloud(cloud.points[hard.selected_rows()])  # exact rows, not the matmul
+        out_cloud = PointCloud(cloud.points[rows])  # exact rows, not the matmul
     else:
         p_sp = ad.matmul(ad.transpose(s_tilde), p_in)
         hard = None
@@ -329,91 +424,17 @@ def backward_ste(loss_root: Tensor, cache: ForwardCache) -> None:
 
 
 def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, np.ndarray | None]:
-    """Graph-free forward pass for benchmarks and the CLI sample command.
+    """Inference through the layers of forward(), in the cloud's dtype.
 
-    Numerically equivalent to forward() without graph bookkeeping. Attention
-    runs in row blocks against a reused buffer; for the hard variant the
-    column softmax is skipped because it cannot change any column argmax.
-    Returns the sampled cloud plus the selected row indices (None for ASSN).
+    The weights are used as constants, so no layer keeps an activation even
+    when they require gradients, and no n-by-n matrix is held. For the hard
+    variant the column softmax is skipped: the rows come from a running
+    argmax over blocks of logits, as in forward(). Returns the sampled cloud
+    plus the selected row indices (None for ASSN).
     """
-    validate_cloud(cloud)
-    config.validate(cloud.n)
-    n = cloud.n
-    m = config.output_count(n)
-    pts = cloud.points
-    dt = pts.dtype
-
-    def arr(t: Tensor) -> np.ndarray:
-        return t.data.astype(dt, copy=False)
-
-    (w1t, b1t), (w2t, b2t) = weights.sigma
-    w1, b1, w2, b2 = arr(w1t), arr(b1t), arr(w2t), arr(b2t)
-
-    if config.k == 1:
-        # the single neighbor shares the point's coordinates, so every offset is
-        # exactly zero and only the first three input channels contribute
-        h = np.maximum(pts @ w1[:3] + b1, 0)
-    else:
-        neighbors = find_neighbors(cloud, config.backend, config.k, config.radius)
-        f_combine = combine(cloud, group_features(cloud, neighbors))
-        flat = f_combine.reshape(n * config.k, 6)
-        h = np.maximum(flat @ w1 + b1, 0)
-    h = h @ w2 + b2
-    if config.k > 1:
-        feat = h.reshape(n, config.k, config.c).max(axis=1)
-    else:
-        feat = h
-
-    block = ATTENTION_BLOCK_ROWS
-    scores_buf = np.empty((min(block, n), n), dtype=dt)
-    inv_sqrt_dk = dt.type(1.0 / np.sqrt(config.c))
-    layer_outputs = []
-    for lay in weights.layers[: config.oa_layers]:
-        q = feat @ arr(lay.wq)
-        q *= inv_sqrt_dk
-        kt = (feat @ arr(lay.wk)).T
-        v = feat @ arr(lay.wv)
-        f_sa = np.empty_like(feat)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            sb = scores_buf[: hi - lo]
-            np.matmul(q[lo:hi], kt, out=sb)
-            mx = sb.max(axis=1, keepdims=True)
-            np.subtract(sb, mx, out=sb)
-            np.exp(sb, out=sb)
-            sums = sb.sum(axis=1, keepdims=True)
-            np.matmul(sb, v, out=f_sa[lo:hi])
-            f_sa[lo:hi] /= sums  # fold softmax normalization into the small output
-        pre = f_sa if config.layer_type == "sa" else feat - f_sa
-        feat = np.maximum(pre @ arr(lay.wg) + arr(lay.bg), 0) + feat
-        layer_outputs.append(feat)
-    feat = layer_outputs[0] if len(layer_outputs) == 1 else np.concatenate(layer_outputs, axis=1)
-
-    r1, rb1 = arr(weights.rho_hidden[0]), arr(weights.rho_hidden[1])
-    r2 = arr(weights.rho_out)
-    if r2.shape[1] != m:
-        raise ShapeMismatchError(f"score head emits {r2.shape[1]} columns, expected m={m}")
-    hidden = np.maximum(feat @ r1 + rb1, 0)
-
-    if config.mode == "ahsn":
-        # running per-column argmax over logit row blocks; softmax is monotone
-        # within a column so the argmax of the logits is the argmax of S~
-        best = np.full(m, -np.inf, dtype=dt)
-        arg = np.zeros(m, dtype=np.int64)
-        logits_buf = np.empty((min(block, n), m), dtype=dt)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            lb = logits_buf[: hi - lo]
-            np.matmul(hidden[lo:hi], r2, out=lb)
-            block_max = lb.max(axis=0)
-            improved = block_max > best
-            if improved.any():
-                arg[improved] = lb[:, improved].argmax(axis=0) + lo
-                best[improved] = block_max[improved]
-        return PointCloud(pts[arg]), arg
-
-    logits = hidden @ r2
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=0, keepdims=True)
-    return PointCloud(shifted.T @ pts), None
+    weights = weights.detached(cloud.points.dtype)
+    *_, f_concat = _encode(cloud, config, weights)
+    soft, rows = soft_matrix(f_concat, weights, config.output_count(cloud.n), keep_soft=config.mode == "assn")
+    if soft is None:
+        return PointCloud(cloud.points[rows]), rows
+    return PointCloud(soft.data.T @ cloud.points), None

@@ -163,7 +163,10 @@ def _read_labels(path: str) -> dict[str, int]:
         name, _, value = line.partition(",")
         if not value:
             raise ParseFailureError(lineno, "expected 'filename,label'")
-        labels[name.strip()] = int(value)
+        try:
+            labels[name.strip()] = int(value)
+        except ValueError:
+            raise ParseFailureError(lineno, f"label {value.strip()!r} is not an integer") from None
     return labels
 
 
@@ -179,7 +182,10 @@ def cmd_bench(args) -> int:
     head = None
     labels = None
     if args.head:
-        head = training.ToyTaskHead.from_arrays(ad.load_arrays(args.head))
+        try:
+            head = training.ToyTaskHead.from_arrays(ad.load_arrays(args.head))
+        except KeyError as e:
+            raise PcsimpError(f"{args.head}: incomplete head weights ({e})") from e
         if args.labels:
             labels = _read_labels(args.labels)
     setups = {}
@@ -352,16 +358,30 @@ def _gradcheck_op_cases():
     return cases
 
 
-def end_to_end_assn_check(eps: float = 1e-6) -> float:
-    """Finite-difference check of the full soft-forward total loss on a tiny setup.
+def _attention_rows(f: np.ndarray, lay) -> np.ndarray:
+    """F_sa = softmax(Q K^T / sqrt(d_k)) V, each query row normalized."""
+    scores = (f @ lay.wq.data) @ (f @ lay.wk.data).T / np.sqrt(lay.wk.data.shape[1])
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True) @ (f @ lay.wv.data)
 
-    Parameters are redrawn at unit-ish scale: the default initialization is so
-    small that most gradients drown in finite-difference roundoff on an
-    objective of this size.
+
+def end_to_end_assn_check(eps: float = 1e-6) -> float:
+    """Finite-difference check of the full soft-forward total loss on tiny setups.
+
+    Two cases: one attention layer over 16 points whose 2 nearest neighbors
+    all lie within the radius, and two layers over a radius small enough that
+    some rows have -1 slots. Returns the worse of the two. Parameters are
+    redrawn at unit-ish scale: the default initialization is so small that
+    most gradients drown in finite-difference roundoff on an objective of
+    this size.
     """
-    config = CasNetConfig(k=2, oa_layers=1, c=8, m=4, mode="assn", seed=3, embed_hidden=8, score_hidden=8)
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.random((16, 3)))
+    cases = (dict(k=2, oa_layers=1, radius=2.0), dict(k=4, oa_layers=2, radius=0.3))
+    return max(_assn_case(cloud, CasNetConfig(**case, c=8, m=4, mode="assn", seed=3, embed_hidden=8, score_hidden=8), eps) for case in cases)
+
+
+def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
     weights = casnet.init_weights(config, 4, dtype=np.float64)
     head = training.init_head(3, hidden=8, dtype=np.float64, seed=11)
     params = weights.parameters() + head.parameters()
@@ -380,12 +400,12 @@ def end_to_end_assn_check(eps: float = 1e-6) -> float:
     # pre-activations so each relu unit is active for some rows and inactive
     # for others. With a uniform mask those biases shift every logit column by
     # a constant, which the column softmax cancels: the true gradient is
-    # exactly zero and finite differences see only roundoff there.
-    lay = weights.layers[0]
-    _, cache = casnet.forward(cloud, config, weights)
-    f_sa = casnet.self_attention(cache.f_pointwise, lay.wq, lay.wk, lay.wv)
-    pre_gamma = (cache.f_pointwise.data - f_sa.data) @ lay.wg.data
-    lay.bg.data[...] = -np.median(pre_gamma, axis=0)
+    # exactly zero and finite differences see only roundoff there. Layer by
+    # layer, since each bias moves the input of the next layer.
+    for i, lay in enumerate(weights.layers[: config.oa_layers]):
+        _, cache = casnet.forward(cloud, config, weights)
+        f = (cache.f_oa[i - 1] if i else cache.f_pointwise).data
+        lay.bg.data[...] = -np.median((f - _attention_rows(f, lay)) @ lay.wg.data, axis=0)
     _, cache = casnet.forward(cloud, config, weights)
     pre_score = cache.f_concat.data @ weights.rho_hidden[0].data
     weights.rho_hidden[1].data[...] = -np.median(pre_score, axis=0)

@@ -235,7 +235,6 @@ class CasNetConfig:
     # shapes consistent with the feature width c and the output size m
     embed_hidden: int = 64
     score_hidden: int = 256
-    layer_type: str = "oa"
     cosine_axis: str = "rows"
 
     def validate(self, n: int | None = None) -> None:
@@ -251,8 +250,6 @@ class CasNetConfig:
             raise ConfigError(f"backend must be one of {BACKENDS}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.layer_type not in ("oa", "sa"):
-            raise ConfigError("layer_type must be 'oa' or 'sa'")
         if self.cosine_axis not in COSINE_AXES:
             raise ConfigError(f"cosine_axis must be one of {COSINE_AXES}")
         if self.m is None and self.ratio is None:

@@ -144,7 +144,7 @@ def test_gather_rows_scatter_adds_duplicates():
 
 def test_ste_harden_forward_one_hot_backward_identity():
     soft = t([[0.2, 0.6], [0.5, 0.3], [0.3, 0.1]])
-    hard = ad.ste_harden(soft)
+    hard = ad.ste_harden(soft, np.array([1, 0]))
     assert np.array_equal(hard.data, [[0, 1], [1, 0], [0, 0]])
     ad.backward(ad.tsum(ad.mul(hard, Tensor(np.ones((3, 2))))))
     assert np.allclose(soft.grad, 1.0)  # gradient passes through unchanged

@@ -13,6 +13,7 @@ from pcsimp.core import (
 )
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
 from pcsimp.nnsearch import knn_bruteforce
+from test_nnsearch import _lidar_like_cloud
 
 
 def tiny_config(**overrides):
@@ -89,20 +90,27 @@ def test_embed_k1_pooling_is_identity_over_single_slot():
     assert out.data.shape == (4, config.c)
 
 
+def attention_of(f, wq, wk, wv):
+    """F_sa read back through offset_attention: with Wg = -I and a bias of 100
+    every relu unit is active, so the layer outputs F_sa + 100."""
+    c = f.shape[1]
+    lay = casnet.OaLayerWeights(wq, wk, wv, Tensor(-np.eye(c)), Tensor(np.full(c, 100.0)))
+    return casnet.offset_attention(Tensor(f), lay).data - 100.0
+
+
 def test_self_attention_single_point_passes_value_through():
     weights = casnet.init_weights(tiny_config(), 4)
     lay = weights.layers[0]
-    f = Tensor(np.random.default_rng(4).normal(size=(1, 8)))
-    out = casnet.self_attention(f, lay.wq, lay.wk, lay.wv)
-    assert np.allclose(out.data, f.data @ lay.wv.data)
+    f = np.random.default_rng(4).normal(size=(1, 8))
+    out = attention_of(f, lay.wq, lay.wk, lay.wv)
+    assert np.allclose(out, f @ lay.wv.data)
 
 
 def test_self_attention_identical_rows_give_identical_outputs():
     weights = casnet.init_weights(tiny_config(), 4)
     lay = weights.layers[0]
     row = np.random.default_rng(5).normal(size=(1, 8))
-    f = Tensor(np.repeat(row, 3, axis=0))
-    out = casnet.self_attention(f, lay.wq, lay.wk, lay.wv).data
+    out = attention_of(np.repeat(row, 3, axis=0), lay.wq, lay.wk, lay.wv)
     assert np.allclose(out[0], out[1]) and np.allclose(out[1], out[2])
 
 
@@ -111,7 +119,7 @@ def test_self_attention_two_point_closed_form():
     # softmax([x_i*x_j]/1) row weights
     one = Tensor(np.array([[1.0]]))
     f = np.array([[1.0], [2.0]])
-    out = casnet.self_attention(Tensor(f), one, one, one).data
+    out = attention_of(f, one, one, one)
     scores = f @ f.T  # d_k = 1
     expect = []
     for i in range(2):
@@ -165,7 +173,7 @@ def test_soft_matrix_constant_scores_give_uniform_columns():
     weights.rho_hidden[1].data[...] = 1.0
     weights.rho_out.data[...] = np.random.default_rng(8).normal(size=weights.rho_out.data.shape)
     f = Tensor(np.random.default_rng(9).normal(size=(5, 8)))
-    soft = casnet.soft_matrix(f, weights, 4)
+    soft, _ = casnet.soft_matrix(f, weights, 4)
     assert np.allclose(soft.data, 0.2)
 
 
@@ -173,7 +181,7 @@ def test_soft_matrix_columns_sum_to_one():
     config = tiny_config()
     weights = casnet.init_weights(config, 4)
     f = Tensor(np.random.default_rng(10).normal(size=(7, 8)))
-    soft = casnet.soft_matrix(f, weights, 4)
+    soft, _ = casnet.soft_matrix(f, weights, 4)
     SoftSamplingMatrix(soft.data).validate()
 
 
@@ -186,7 +194,7 @@ def test_soft_matrix_closed_form_small_case():
     weights.rho_hidden = (w1, b1)
     weights.rho_out = w2
     f = Tensor(np.array([[1.0], [2.0], [3.0]]))
-    soft = casnet.soft_matrix(f, weights, 2).data
+    soft = casnet.soft_matrix(f, weights, 2)[0].data
     logits = np.maximum(f.data @ w1.data, 0) @ w2.data
     for col in range(2):
         e = np.exp(logits[:, col] - logits[:, col].max())
@@ -198,8 +206,8 @@ def test_soft_matrix_permutation_equivariance():
     weights = casnet.init_weights(config, 4)
     f = np.random.default_rng(11).normal(size=(6, 8))
     perm = np.random.default_rng(12).permutation(6)
-    direct = casnet.soft_matrix(Tensor(f[perm]), weights, 4).data
-    permuted = casnet.soft_matrix(Tensor(f), weights, 4).data[perm]
+    direct = casnet.soft_matrix(Tensor(f[perm]), weights, 4)[0].data
+    permuted = casnet.soft_matrix(Tensor(f), weights, 4)[0].data[perm]
     assert np.allclose(direct, permuted, atol=1e-12)
 
 
@@ -403,3 +411,15 @@ def test_fast_sample_matches_graph_forward_assn_full_config():
     out_fast, idx = casnet.sample(cloud, config, weights)
     assert idx is None
     assert np.allclose(out_fast.points, out_graph.points, rtol=1e-10, atol=1e-12)
+
+
+def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame():
+    cloud = PointCloud(_lidar_like_cloud(np.random.default_rng(12), 8192))
+    config = CasNetConfig(k=32, oa_layers=3, radius=2.0, m=1024, mode="ahsn", backend="ball_query")
+    weights = casnet.init_weights(config, 1024, dtype=np.float32, seed=3)
+    weights.set_requires_grad(False)
+    out_graph, cache = casnet.forward(cloud, config, weights)
+    out_fast, idx = casnet.sample(cloud, config, weights)
+    assert (cache.neighbors.indices == -1).any() and (cache.neighbors.indices[:, -1] >= 0).any()
+    assert np.array_equal(idx, cache.hard.selected_rows())
+    assert np.array_equal(out_fast.points, out_graph.points)

@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from pcsimp import autodiff as ad
-from pcsimp import casnet, classic_samplers, nnsearch
+from pcsimp import casnet, classic_samplers, nnsearch, training
 from pcsimp.cli import main
 from pcsimp.core import CasNetConfig, NeighborTable, PointCloud
 from pcsimp.io import read_xyz, write_xyz
@@ -238,3 +241,62 @@ def test_trained_weights_feed_sample_command(tmp_path):
     )
     assert code == 0
     assert read_xyz(dst).n == 8
+
+
+def _write_container(path, manifest, payload):
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(struct.pack("<BI", ad.WEIGHTS_FORMAT_VERSION, len(blob)) + blob + payload)
+
+
+def _small_clouds(tmp_path):
+    data = tmp_path / "clouds"
+    data.mkdir()
+    write_xyz(data / "c.xyz", PointCloud(np.random.default_rng(6).uniform(size=(64, 3)).astype(np.float32)))
+    return data
+
+
+FOUR_FLOATS = np.arange(4, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize(
+    "manifest, payload",
+    [
+        pytest.param([{"shape": [2], "offset": 0}], FOUR_FLOATS, id="entry-without-name"),
+        pytest.param([{"name": "w", "shape": [2], "offset": -4}], FOUR_FLOATS, id="negative-offset"),
+        pytest.param([{"name": "w", "shape": [2], "offset": 0}], np.array([1.0, np.nan], dtype="<f4").tobytes(), id="nan-value"),
+        pytest.param([{"name": "w", "shape": [3], "offset": 0}, {"name": "v", "shape": [1], "offset": 8}], FOUR_FLOATS, id="overlapping-arrays"),
+        pytest.param([{"name": "w", "shape": [2], "offset": 0}, {"name": "w", "shape": [2], "offset": 8}], FOUR_FLOATS, id="duplicate-names"),
+        pytest.param([{"name": "w", "shape": [2.0], "offset": 0}], FOUR_FLOATS, id="non-integer-shape"),
+        pytest.param({"name": "w"}, FOUR_FLOATS, id="manifest-not-a-list"),
+    ],
+)
+def test_bench_rejects_malformed_weights_with_one_line(tmp_path, capsys, manifest, payload):
+    data = _small_clouds(tmp_path)
+    weights = tmp_path / "w.pcw"
+    _write_container(weights, manifest, payload)
+    code = main(["bench", "--input", str(data), "--methods", "casnet", "--weights", str(weights), "--k", "1", "--oa", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("io error: ") and "Traceback" not in err
+
+
+def test_bench_rejects_non_integer_label_with_line_number(tmp_path, capsys):
+    data = _small_clouds(tmp_path)
+    head = tmp_path / "head.pcw"
+    ad.save_arrays(head, training.init_head(3, dtype=np.float32).to_arrays())
+    labels = tmp_path / "labels.csv"
+    labels.write_text("# name,label\nc.xyz,notanint\n")
+    code = main(["bench", "--input", str(data), "--methods", "rs", "--head", str(head), "--labels", str(labels)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 2" in err and "notanint" in err
+
+
+def test_bench_rejects_head_file_without_head_weights(tmp_path, capsys):
+    data = _small_clouds(tmp_path)
+    sampler_only = tmp_path / "sampler.pcw"
+    _write_weights(sampler_only, CasNetConfig(k=1, oa_layers=1, c=16, m=32, embed_hidden=16, score_hidden=16), 32)
+    code = main(["bench", "--input", str(data), "--methods", "rs", "--head", str(sampler_only)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "head.cls.w" in err

@@ -1,0 +1,201 @@
+"""Each layer node of casnet against a tape oracle.
+
+The oracle composes the same layer from autodiff ops, so its backward is
+derived op by op by the tape. Outputs and gradients are compared in float64,
+each array to RTOL relative to its norm, or to a thousandth of the largest
+norm of its set where that is larger: a gradient that is exactly zero (Q and
+K of a one-point attention) compares against rounding.
+"""
+
+import numpy as np
+import pytest
+
+from pcsimp import autodiff as ad
+from pcsimp import casnet
+from pcsimp.autodiff import Tensor
+from pcsimp.core import CasNetConfig, PointCloud
+from pcsimp.losses import cosine_loss, subset_loss, total_loss
+from pcsimp.nnsearch import find_neighbors
+
+RTOL = 5e-12
+
+
+def tape_embed(combined, weights):
+    n, k, width = combined.shape
+    (w1, b1), (w2, b2) = weights.sigma
+    x = Tensor(combined.reshape(n * k, width))
+    h = ad.relu(ad.add_rowvec(ad.matmul(x, w1), b1))
+    h = ad.add_rowvec(ad.matmul(h, w2), b2)
+    return ad.max_over_axis(ad.reshape(h, (n, k, weights.c)), axis=1)
+
+
+def tape_offset_attention(f_in, lay):
+    q, k, v = (ad.matmul(f_in, w) for w in (lay.wq, lay.wk, lay.wv))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(lay.wk.data.shape[1]))
+    f_sa = ad.matmul(ad.softmax(scores, axis=1), v)
+    return ad.add(ad.relu(ad.add_rowvec(ad.matmul(ad.sub(f_in, f_sa), lay.wg), lay.bg)), f_in)
+
+
+def tape_soft_matrix(f_concat, weights):
+    w1, b1 = weights.rho_hidden
+    h = ad.relu(ad.add_rowvec(ad.matmul(f_concat, w1), b1))
+    return ad.softmax(ad.matmul(h, weights.rho_out), axis=0)
+
+
+def tape_forward(cloud, config, weights):
+    """The whole sampler on the tape; returns (P_sp, S~)."""
+    table = find_neighbors(cloud, config.backend, config.k, config.radius)
+    f = tape_embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights)
+    outputs = []
+    for lay in weights.layers[: config.oa_layers]:
+        f = tape_offset_attention(f, lay)
+        outputs.append(f)
+    soft = tape_soft_matrix(ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], weights)
+    chosen = ad.ste_harden(soft, soft.data.argmax(axis=0)) if config.mode == "ahsn" else soft
+    return ad.matmul(ad.transpose(chosen), Tensor(cloud.points)), soft
+
+
+def config_of(**overrides):
+    base = dict(k=4, oa_layers=2, c=8, m=5, mode="assn", backend="ball_query", radius=0.3, embed_hidden=8, score_hidden=8, seed=0)
+    base.update(overrides)
+    return CasNetConfig(**base)
+
+
+def unit_weights(config, m, seed=0):
+    """Weights at a scale where relu units are active and inactive and the
+    softmaxes are far from uniform but not saturated, which would leave some
+    gradients at rounding level."""
+    weights = casnet.init_weights(config, m)
+    rng = np.random.default_rng(seed)
+    for p in weights.parameters():
+        p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
+    return weights
+
+
+def grads(out, params, upstream):
+    """Gradients of sum(out * upstream) with respect to params."""
+    for p in params:
+        p.zero_grad()
+    ad.backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+    return [p.grad.copy() for p in params]
+
+
+def assert_close(got, want):
+    floor = 1e-3 * max(np.linalg.norm(b) for b in want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.linalg.norm(a - b) <= RTOL * max(np.linalg.norm(b), floor)
+
+
+def padded_input(n, k, radius, seed):
+    cloud = PointCloud(np.random.default_rng(seed).random((n, 3)))
+    table = find_neighbors(cloud, "ball_query", k, radius)
+    return casnet.combine(cloud, casnet.group_features(cloud, table)), table
+
+
+@pytest.mark.parametrize("k, radius", [(6, 0.3), (1, 0.3), (6, 2.0)], ids=["padded", "k1", "full-rows"])
+def test_embed_matches_tape(k, radius):
+    combined, table = padded_input(40, k, radius, seed=1)
+    if k > 1 and radius < 1:
+        assert (table.indices == -1).any()
+    weights = unit_weights(config_of(k=k), 5)
+    params = [p for pair in weights.sigma for p in pair]
+    got, want = casnet.embed(combined, weights), tape_embed(combined, weights)
+    assert np.array_equal(got.data, want.data)
+    upstream = np.random.default_rng(2).normal(size=got.data.shape)
+    assert_close(grads(got, params, upstream), grads(want, params, upstream))
+
+
+def test_embed_tied_maxima_send_the_gradient_to_the_lowest_slot():
+    # two slots whose first channel ties at 1 + 2 = 2 + 1 from different inputs;
+    # with an identity first layer and zero biases the hidden layer copies the inputs
+    weights = casnet.init_weights(config_of(c=2, embed_hidden=6), 5)
+    (w1, b1), (w2, b2) = weights.sigma
+    w1.data[...] = np.eye(6)
+    b1.data[...] = 0.0
+    w2.data[...] = 0.0
+    w2.data[:2, 0] = 1.0
+    w2.data[2, 1] = 1.0
+    b2.data[...] = 0.0
+    combined = np.array([[[1.0, 2.0, 0, 0, 0, 0], [2.0, 1.0, 0, 0, 0, 0]]])
+    out = casnet.embed(combined, weights)
+    assert out.data[0, 0] == 3.0
+    g_w1, _, g_w2, _ = grads(out, [w1, b1, w2, b2], np.array([[1.0, 0.0]]))
+    assert np.array_equal(g_w2[:, 0], [1.0, 2.0, 0, 0, 0, 0])  # slot 0's hidden row
+    assert_close([g_w1, g_w2], grads(tape_embed(combined, weights), [w1, w2], np.array([[1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("n", [1, 7, casnet.ATTENTION_BLOCK_ROWS + 44])
+def test_offset_attention_matches_tape(n):
+    lay = unit_weights(config_of(), 5).layers[0]
+    f_in = Tensor(np.random.default_rng(3).normal(size=(n, 8)), requires_grad=True)
+    params = [f_in, lay.wq, lay.wk, lay.wv, lay.wg, lay.bg]
+    got, want = casnet.offset_attention(f_in, lay), tape_offset_attention(f_in, lay)
+    assert_close([got.data], [want.data])
+    upstream = np.random.default_rng(4).normal(size=(n, 8))
+    assert_close(grads(got, params, upstream), grads(want, params, upstream))
+
+
+def test_offset_attention_values_do_not_depend_on_keeping_activations():
+    lay = unit_weights(config_of(), 5).layers[0]
+    f = np.random.default_rng(5).normal(size=(casnet.ATTENTION_BLOCK_ROWS * 2 + 3, 8))
+    kept = casnet.offset_attention(Tensor(f, requires_grad=True), lay)
+    for p in (lay.wq, lay.wk, lay.wv, lay.wg, lay.bg):
+        p.requires_grad = False
+    blocked = casnet.offset_attention(Tensor(f), lay)
+    assert blocked._backward is None and kept._backward is not None
+    assert np.array_equal(blocked.data, kept.data)
+
+
+@pytest.mark.parametrize("n", [5, casnet.ATTENTION_BLOCK_ROWS + 44])
+def test_soft_matrix_matches_tape(n):
+    weights = unit_weights(config_of(), 5)
+    f = Tensor(np.random.default_rng(6).normal(size=(n, 16)), requires_grad=True)
+    params = [f, *weights.rho_hidden, weights.rho_out]
+    (got, rows), want = casnet.soft_matrix(f, weights, 5), tape_soft_matrix(f, weights)
+    assert_close([got.data], [want.data])
+    logits = np.maximum(f.data @ weights.rho_hidden[0].data + weights.rho_hidden[1].data, 0) @ weights.rho_out.data
+    assert np.array_equal(rows, logits.argmax(axis=0))
+    none, same_rows = casnet.soft_matrix(f, weights, 5, keep_soft=False)
+    assert none is None and np.array_equal(same_rows, rows)
+    upstream = np.random.default_rng(7).normal(size=(n, 5))
+    assert_close(grads(got, params, upstream), grads(want, params, upstream))
+
+
+def test_hard_rows_come_from_the_logits_not_the_rounded_softmax():
+    # two float32 logits one ulp apart: exp rounds their softmax values to one
+    # value, whose argmax would be the lower row; the logits pick the larger
+    config = config_of(oa_layers=1, c=1, score_hidden=1, m=1)
+    weights = casnet.init_weights(config, 1, dtype=np.float32)
+    weights.rho_hidden = (Tensor(np.ones((1, 1), np.float32)), Tensor(np.zeros(1, np.float32)))
+    weights.rho_out = Tensor(np.ones((1, 1), np.float32))
+    low = np.float32(0.1)
+    f = Tensor(np.array([[low], [np.nextafter(low, np.float32(1))]]))
+    soft, rows = casnet.soft_matrix(f, weights, 1)
+    assert soft.data[0, 0] == soft.data[1, 0]
+    assert rows.tolist() == [1]
+
+
+@pytest.mark.parametrize("mode", ["assn", "ahsn"])
+@pytest.mark.parametrize("k, oa_layers, radius", [(4, 2, 0.3), (1, 1, 2.0), (6, 3, 2.0)], ids=["padded", "k1", "full-rows"])
+def test_network_gradients_match_tape(mode, k, oa_layers, radius):
+    config = config_of(mode=mode, k=k, oa_layers=oa_layers, radius=radius)
+    cloud = PointCloud(np.random.default_rng(8).random((24, 3)))
+    weights = unit_weights(config, 5, seed=9)
+    params = weights.parameters()
+
+    def loss(p_sp, soft):
+        return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(soft, "columns")).total
+
+    _, cache = casnet.forward(cloud, config, weights)
+    p_sp, soft = tape_forward(cloud, config, weights)
+    assert_close([cache.soft.data, cache.p_sp.data], [soft.data, p_sp.data])
+    assert_close(grads(loss(cache.p_sp, cache.soft), params, 1.0), grads(loss(p_sp, soft), params, 1.0))
+
+
+@pytest.mark.parametrize("keep_soft", [True, False])
+def test_hard_rows_break_ties_to_the_lower_row_across_blocks(keep_soft):
+    weights = unit_weights(config_of(), 5)
+    f = Tensor(np.ones((casnet.ATTENTION_BLOCK_ROWS + 1, 16)))
+    _, rows = casnet.soft_matrix(f, weights, 5, keep_soft=keep_soft)
+    assert rows.tolist() == [0] * 5

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pcsimp import autodiff as ad
-from pcsimp import training
+from pcsimp import casnet, training
 from pcsimp.autodiff import Tensor
-from pcsimp.core import CasNetConfig, EmptySplitError
+from pcsimp.core import CasNetConfig, EmptySplitError, PointCloud
 from pcsimp.training import (
     AdamState,
     DatasetSpec,
@@ -184,3 +184,23 @@ def test_head_serialization_round_trip():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(20, 3)).astype(np.float32)
     assert rebuilt.predict(pts) == head.predict(pts)
+
+
+def test_train_samples_each_test_cloud_once_per_epoch(monkeypatch):
+    calls = []
+    real = casnet.sample
+    monkeypatch.setattr(casnet, "sample", lambda *a: calls.append(1) or real(*a))
+    _tiny_train("ahsn", epochs=2)
+    assert len(calls) == 2 * 6  # two epochs over 2 test clouds per class
+
+
+def test_train_rejects_a_hard_sample_that_is_not_input_rows(monkeypatch):
+    real = casnet.sample
+
+    def shifted(cloud, config, weights):
+        out, idx = real(cloud, config, weights)
+        return PointCloud(out.points + 1.0), idx
+
+    monkeypatch.setattr(casnet, "sample", shifted)
+    with pytest.raises(AssertionError, match="exact row subset"):
+        _tiny_train("ahsn", epochs=1)
