@@ -33,6 +33,8 @@ from .core import (
 from .nnsearch import find_neighbors
 
 ATTENTION_BLOCK_ROWS = 256
+# slot rows per embed block: a block's (slots x 64) arrays stay within a core's L2
+EMBED_BLOCK_SLOTS = 2048
 
 
 @dataclass
@@ -95,8 +97,30 @@ class CasNetWeights:
         nothing for a backward pass."""
         return CasNetWeights.from_arrays({k: v.astype(dtype, copy=False) for k, v in self.to_arrays().items()})
 
+    def _check_shapes(self, prefix: str) -> None:
+        """Raise ShapeMismatchError naming the first array that does not fit the
+        architecture read off sigma.0.w (e), sigma.1.w (c), rho.hidden.w (s),
+        rho.out.w (m) and the number of attention layers."""
+        if len(self.sigma) != 2 or not self.layers:
+            raise ShapeMismatchError(f"{prefix}sigma.*, {prefix}oa.*: expected 2 embedding layers and at least 1 attention layer")
+        arrays = self.to_arrays(prefix)
+        for name in ("sigma.0.w", "sigma.1.w", "rho.hidden.w", "rho.out.w"):
+            if arrays[prefix + name].ndim != 2:
+                raise ShapeMismatchError(f"{prefix}{name} has shape {arrays[prefix + name].shape}, expected a matrix")
+        e, c, s, m = self.sigma[0][0].data.shape[1], self.c, self.rho_hidden[0].data.shape[1], self.m
+        expected = {"sigma.0.w": (6, e), "sigma.0.b": (e,), "sigma.1.w": (e, c), "sigma.1.b": (c,)}
+        for i in range(len(self.layers)):
+            expected.update({f"oa.{i}.{name}": (c, c) for name in ("wq", "wk", "wv", "wg")})
+            expected[f"oa.{i}.bg"] = (c,)
+        expected.update({"rho.hidden.w": (len(self.layers) * c, s), "rho.hidden.b": (s,), "rho.out.w": (s, m)})
+        for name, shape in expected.items():
+            if arrays[prefix + name].shape != shape:
+                raise ShapeMismatchError(f"{prefix}{name} has shape {arrays[prefix + name].shape}, expected {shape}")
+
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "", requires_grad: bool = False) -> "CasNetWeights":
+        """Weights from named arrays; raises ShapeMismatchError when their
+        shapes do not fit one architecture."""
         sigma = []
         i = 0
         while f"{prefix}sigma.{i}.w" in arrays:
@@ -114,7 +138,7 @@ class CasNetWeights:
                 OaLayerWeights(*(Tensor(arrays[f"{prefix}oa.{i}.{nm}"], requires_grad) for nm in ("wq", "wk", "wv", "wg", "bg")))
             )
             i += 1
-        return cls(
+        weights = cls(
             sigma=sigma,
             layers=layers,
             rho_hidden=(
@@ -123,6 +147,8 @@ class CasNetWeights:
             ),
             rho_out=Tensor(arrays[f"{prefix}rho.out.w"], requires_grad),
         )
+        weights._check_shapes(prefix)
+        return weights
 
 
 def parameter_count(k: int, c: int, oa_layers: int, m: int, embed_hidden: int = 64, score_hidden: int = 256) -> int:
@@ -164,7 +190,12 @@ def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | Non
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward pass, kept for the backward."""
+    """Every intermediate of one forward pass, kept for the backward.
+
+    At k=1 no search runs and `neighbors` lists each point as its own only
+    neighbor; a search would list the lowest-index exact duplicate instead,
+    which gives the same zero offset.
+    """
 
     neighbors: NeighborTable
     f_group: np.ndarray
@@ -209,28 +240,68 @@ def _affine_relu(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
 def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
     """Shared per-slot MLP followed by max-pooling over the neighbor axis.
 
-    One node. Its backward puts each pooled gradient into the slot that held
-    the maximum (ties to the lowest slot), then runs the MLP backward.
+    One node, computed in blocks of max(1, EMBED_BLOCK_SLOTS // k) points so
+    that a block's per-slot arrays stay in cache; each block max-pools
+    straight into the output. With a gradient to keep, the forward also
+    records each (point, channel)'s winning slot (ties to the lowest slot),
+    and nothing else. The backward puts each pooled gradient into that slot
+    and runs the MLP backward block by block over the slots that won at least
+    one channel, recomputing their hidden activations.
     """
     n, k, width = combined.shape
     (w1, b1), (w2, b2) = weights.sigma
     if width != w1.data.shape[0]:
         raise ShapeMismatchError(f"combined width {width} vs sigma input {w1.data.shape[0]}")
-    x = combined.reshape(n * k, width).astype(w1.data.dtype, copy=False)
-    h = _affine_relu(x, w1, b1)
-    per_slot = h @ w2.data
-    per_slot += b2.data
-    per_slot = per_slot.reshape(n, k, -1)
+    keep = any(p.requires_grad for p in (w1, b1, w2, b2))
+    dtype, c = w1.data.dtype, w2.data.shape[1]
+    step = max(1, EMBED_BLOCK_SLOTS // k)
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    hidden = np.empty((min(step, n) * k, w1.data.shape[1]), dtype=dtype)
+    per_slot = np.empty((min(step, n) * k, c), dtype=dtype)
+    winner = np.empty((n, c), dtype=np.intp) if keep else None
+    countdown = np.arange(k, 0, -1).astype(np.min_scalar_type(k)).reshape(k, 1)
+    out = np.empty((n, c), dtype=dtype)
+    for lo, hi in blocks:
+        x = combined[lo:hi].reshape(-1, width).astype(dtype, copy=False)
+        h = hidden[: len(x)]
+        np.matmul(x, w1.data, out=h)
+        h += b1.data
+        np.maximum(h, 0, out=h)
+        s = per_slot[: len(x)]
+        np.matmul(h, w2.data, out=s)
+        s += b2.data
+        s = s.reshape(hi - lo, k, c)
+        s.max(axis=1, out=out[lo:hi])
+        if keep:
+            # the lowest slot equal to each maximum, as the largest k - slot
+            # among them: numpy's argmax over a middle axis makes one call per
+            # point and channel. A NaN matches no slot and takes slot k - 1.
+            top = ((s == out[lo:hi, None, :]) * countdown).max(axis=1)
+            winner[lo:hi] = k - np.maximum(top, 1)
+    if not keep:
+        return Tensor(out)
 
     def vjp(g):
-        g_slot = np.zeros_like(per_slot)
-        g_slot[np.arange(n)[:, None], per_slot.argmax(axis=1), np.arange(g.shape[1])] = g
-        g_slot = g_slot.reshape(n * k, -1)
-        g_h = g_slot @ w2.data.T
-        g_h *= h > 0
-        return x.T @ g_h, g_h.sum(axis=0), h.T @ g_slot, g_slot.sum(axis=0)
+        g_w1, g_b1, g_w2 = (np.zeros_like(p.data) for p in (w1, b1, w2))
+        slots = combined.reshape(n * k, width).astype(dtype, copy=False)
+        channels = np.arange(c)
+        for lo, hi in blocks:
+            # only slot rows that won some channel carry a gradient; the
+            # products run over those rows alone
+            won = (np.arange(lo, hi) * k)[:, None] + winner[lo:hi]
+            used, at = np.unique(won, return_inverse=True)
+            g_slot = np.zeros((len(used), c), dtype=g.dtype)
+            g_slot[at.reshape(won.shape), channels] = g[lo:hi]
+            x = slots[used]
+            h = _affine_relu(x, w1, b1)
+            g_h = g_slot @ w2.data.T
+            g_h *= h > 0
+            g_w1 += x.T @ g_h
+            g_b1 += g_h.sum(axis=0)
+            g_w2 += h.T @ g_slot
+        return g_w1, g_b1, g_w2, g.sum(axis=0)
 
-    return ad.custom(per_slot.max(axis=1), (w1, b1, w2, b2), vjp)
+    return ad.custom(out, (w1, b1, w2, b2), vjp)
 
 
 def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
@@ -371,9 +442,15 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
     validate_cloud(cloud)
     config.validate(cloud.n)
     dtype = weights.sigma[0][0].data.dtype
-    # looked up in this module at call time, so a wrapper set here sees every search
-    neighbors = find_neighbors(cloud, config.backend, config.k, config.radius)
-    f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
+    if config.k == 1:
+        # the one slot holds the point itself or an exact duplicate, so its
+        # offset is zero whatever the table holds: no search is needed
+        neighbors = NeighborTable(np.arange(cloud.n).reshape(cloud.n, 1))
+        f_group = np.zeros((cloud.n, 1, 3), dtype=dtype)
+    else:
+        # looked up in this module at call time, so a wrapper set here sees every search
+        neighbors = find_neighbors(cloud, config.backend, config.k, config.radius)
+        f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
     f_pointwise = embed(f_combine, weights)
     f_concat, f_oa = asm(f_pointwise, weights, config.oa_layers)

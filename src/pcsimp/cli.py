@@ -26,6 +26,7 @@ from .core import (
     PointCloud,
     RunRecord,
     SENTINEL,
+    ShapeMismatchError,
     ratio_to_count,
 )
 from .io import format_report, read_cloud, write_cloud, write_report
@@ -75,8 +76,8 @@ def _load_sampler_weights(path: str, requires_grad: bool = False) -> casnet.CasN
         weights = casnet.CasNetWeights.from_arrays(arrays, prefix=prefix, requires_grad=requires_grad)
     except KeyError as e:
         raise PcsimpError(f"{path}: incomplete sampler weights ({e})") from e
-    if not weights.sigma or not weights.layers:
-        raise PcsimpError(f"{path}: no sampler weights found")
+    except ShapeMismatchError as e:
+        raise ShapeMismatchError(f"{path}: {e}") from None
     return weights
 
 
@@ -94,6 +95,8 @@ def _casnet_setup(config: CasNetConfig, weights, m: int, what: str):
     w = weights if weights is not None else casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
     if w.m != m:
         raise PcsimpError(f"{what}: weights emit m={w.m} points but m={m} is needed")
+    if len(w.layers) != cfg.oa_layers:
+        raise PcsimpError(f"{what}: weights hold {len(w.layers)} attention layers but --oa is {cfg.oa_layers}")
     return cfg, w
 
 

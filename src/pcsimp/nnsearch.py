@@ -70,24 +70,30 @@ def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int,
     """
     # one coordinate at a time, ((dx*dx + dy*dy) + dz*dz) in the cloud's dtype:
     # the same roundings, in the same order, as (diff * diff).sum(axis=-1)
-    d = np.zeros((len(rows), cand.size), dtype=pts.dtype)
-    for axis in range(3):
+    d = np.square(pts[rows, 0][:, None] - pts[cand, 0][None, :])
+    for axis in (1, 2):
         diff = pts[rows, axis][:, None] - pts[cand, axis][None, :]
-        d += diff * diff
-    outside = d > r2
-    counts = cand.size - outside.sum(axis=1)
-    d[outside] = np.inf
-    # keep everything below the kept-th value, then the lowest-index entries equal to it
+        diff *= diff
+        d += diff
+    # Entries beyond r2 rank after every entry within it, so they need no
+    # masking here: they fill a row's prefix only past its in-radius count.
     kept = min(k, cand.size)
     kth = np.partition(d, kept - 1, axis=1)[:, kept - 1 : kept]
-    below = d < kth
-    tied = d == kth
-    room = kept - below.sum(axis=1, keepdims=True)
-    keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    keep = d <= kth
+    # A row with more than `kept` such entries ties at its kept-th value; there
+    # the lowest-index tied entries fill the room left by those below it.
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kept)
+    if over.size:
+        d_over, kth_over = d[over], kth[over]
+        below = d_over < kth_over
+        tied = d_over == kth_over
+        room = kept - np.count_nonzero(below, axis=1)[:, None]
+        keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
     cols = np.nonzero(keep)[1].reshape(len(rows), kept)
-    cols = np.take_along_axis(cols, np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable"), axis=1)
-    ranked = cand[cols]
-    ranked[np.arange(kept)[None, :] >= counts[:, None]] = SENTINEL
+    d_kept = np.take_along_axis(d, cols, axis=1)
+    order = np.argsort(d_kept, axis=1, kind="stable")
+    ranked = cand[np.take_along_axis(cols, order, axis=1)]
+    ranked[np.take_along_axis(d_kept, order, axis=1) > r2] = SENTINEL
     out[rows, :kept] = ranked
     out[rows, kept:] = SENTINEL
 

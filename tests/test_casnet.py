@@ -423,3 +423,32 @@ def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame(
     assert (cache.neighbors.indices == -1).any() and (cache.neighbors.indices[:, -1] >= 0).any()
     assert np.array_equal(idx, cache.hard.selected_rows())
     assert np.array_equal(out_fast.points, out_graph.points)
+
+
+@pytest.mark.parametrize("mode", ["ahsn", "assn"])
+def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypatch, mode):
+    # every point of the first 12 appears twice: a search lists the lower copy
+    # as the neighbour of both, where the skipped search lists each point itself
+    base = random_cloud(12, 31).points
+    cloud = PointCloud(np.concatenate([base, base, random_cloud(8, 32).points]))
+    config = tiny_config(mode=mode, k=1, oa_layers=2, backend="ball_query", radius=0.5, m=6)
+    weights = casnet.init_weights(config, 6)
+    table = knn_bruteforce(cloud, 1)
+    assert (table.indices[:, 0] != np.arange(cloud.n)).any()
+    f_concat, _ = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights, 2)
+    soft, rows = casnet.soft_matrix(f_concat, weights, 6)
+
+    def no_search(*args):
+        raise AssertionError("k=1 ran a neighbour search")
+
+    monkeypatch.setattr(casnet, "find_neighbors", no_search)
+    out_graph, cache = casnet.forward(cloud, config, weights)
+    out_fast, idx = casnet.sample(cloud, config, weights)
+    assert np.array_equal(cache.neighbors.indices[:, 0], np.arange(cloud.n))
+    assert np.array_equal(cache.soft.data, soft.data)
+    if mode == "ahsn":
+        assert np.array_equal(cache.hard.selected_rows(), rows)
+        assert np.array_equal(idx, rows)
+        assert np.array_equal(out_fast.points, cloud.points[rows])
+    else:
+        assert np.allclose(out_fast.points, out_graph.points, rtol=1e-10, atol=1e-12)

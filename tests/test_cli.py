@@ -280,6 +280,29 @@ def test_bench_rejects_malformed_weights_with_one_line(tmp_path, capsys, manifes
     assert err.count("\n") == 1 and err.startswith("io error: ") and "Traceback" not in err
 
 
+def test_bench_rejects_a_checkpoint_whose_shapes_disagree_with_one_line(tmp_path, capsys):
+    data = _small_clouds(tmp_path)
+    config = CasNetConfig(k=1, oa_layers=1, c=8, m=32, embed_hidden=16, score_hidden=16)
+    arrays = casnet.init_weights(config, 32, dtype=np.float32).to_arrays(prefix="sampler.")
+    arrays["sampler.oa.0.wq"] = np.zeros((16, 8), dtype=np.float32)
+    weights = tmp_path / "w.pcw"
+    ad.save_arrays(weights, arrays)
+    code = main(["bench", "--input", str(data), "--methods", "casnet", "--weights", str(weights), "--k", "1", "--oa", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sampler.oa.0.wq" in err and "(16, 8)" in err and "Traceback" not in err
+
+
+def test_bench_rejects_a_checkpoint_with_another_attention_depth_with_one_line(tmp_path, capsys):
+    data = _small_clouds(tmp_path)
+    weights = tmp_path / "w.pcw"
+    _write_weights(weights, CasNetConfig(k=1, oa_layers=2, c=8, m=32, embed_hidden=16, score_hidden=16), 32)
+    code = main(["bench", "--input", str(data), "--methods", "casnet", "--weights", str(weights), "--k", "1", "--oa", "1", "--ratios", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2 attention layers" in err and "Traceback" not in err
+
+
 def test_bench_rejects_non_integer_label_with_line_number(tmp_path, capsys):
     data = _small_clouds(tmp_path)
     head = tmp_path / "head.pcw"

@@ -125,6 +125,47 @@ def test_embed_tied_maxima_send_the_gradient_to_the_lowest_slot():
     assert_close([g_w1, g_w2], grads(tape_embed(combined, weights), [w1, w2], np.array([[1.0, 0.0]])))
 
 
+@pytest.mark.parametrize("k, radius", [(32, 2.0), (32, 0.3), (1, 0.3)], ids=["k32", "k32-padded", "k1"])
+def test_embed_over_several_blocks_matches_tape(k, radius):
+    # two full blocks and a partial last one
+    step = casnet.EMBED_BLOCK_SLOTS // k
+    combined, table = padded_input(2 * step + 5, k, radius, seed=10)
+    assert (table.indices == -1).any() == (radius < 1 and k > 1)
+    weights = unit_weights(config_of(k=k), 5)
+    params = [p for pair in weights.sigma for p in pair]
+    got, want = casnet.embed(combined, weights), tape_embed(combined, weights)
+    assert_close([got.data], [want.data])
+    upstream = np.random.default_rng(11).normal(size=got.data.shape)
+    assert_close(grads(got, params, upstream), grads(want, params, upstream))
+
+
+def test_embed_tied_maximum_in_the_last_block_sends_the_gradient_to_the_lowest_slot():
+    # the first-test construction, at a point of a partial last block: slots 0
+    # and 1 tie at 1 + 2 = 2 + 1 in channel 0; every other slot sums below 2
+    k = 2
+    n = 2 * (casnet.EMBED_BLOCK_SLOTS // k) + 3
+    weights = casnet.init_weights(config_of(c=2, embed_hidden=6), 5)
+    (w1, b1), (w2, b2) = weights.sigma
+    w1.data[...] = np.eye(6)
+    b1.data[...] = 0.0
+    w2.data[...] = 0.0
+    w2.data[:2, 0] = 1.0
+    w2.data[2, 1] = 1.0
+    b2.data[...] = 0.0
+    combined = np.random.default_rng(12).uniform(size=(n, k, 6))
+    combined[n - 2, :, :2] = [[1.0, 2.0], [2.0, 1.0]]
+    upstream = np.random.default_rng(13).normal(size=(n, 2))
+    out = casnet.embed(combined, weights)
+    assert out.data[n - 2, 0] == 3.0
+    g_w1, _, g_w2, _ = grads(out, [w1, b1, w2, b2], upstream)
+    want_w1, want_w2 = grads(tape_embed(combined, weights), [w1, w2], upstream)
+    assert_close([g_w1, g_w2], [want_w1, want_w2])
+    # moving the tied point's gradient to slot 1 swaps its first two hidden units
+    swapped = want_w2[:, 0].copy()
+    swapped[:2] += upstream[n - 2, 0] * np.array([1.0, -1.0])
+    assert np.linalg.norm(g_w2[:, 0] - swapped) > 0.5
+
+
 @pytest.mark.parametrize("n", [1, 7, casnet.ATTENTION_BLOCK_ROWS + 44])
 def test_offset_attention_matches_tape(n):
     lay = unit_weights(config_of(), 5).layers[0]

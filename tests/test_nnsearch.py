@@ -319,3 +319,21 @@ def test_k_equal_to_n(dtype):
 def test_ball_query_rejects_k_below_one():
     with pytest.raises(ConfigError):
         ball_query(PointCloud(np.zeros((2, 3))), 1.0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_block_with_rows_tied_at_the_kth_distance_and_rows_not(dtype):
+    # a 3x3x3 integer lattice, where most rows tie at their k-th distance, and
+    # a far random cluster whose rows do not; 37 points are ranked in one block
+    lattice = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)], dtype=np.float64)
+    cluster = np.random.default_rng(67).uniform(size=(10, 3)) * 3 + 100
+    pts = np.concatenate([lattice, cluster]).astype(dtype)
+    assert nnsearch._block_rows(len(pts), len(pts)) == len(pts)
+    k = 4
+    d = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    ranked = np.sort(d, axis=1)
+    tied = ranked[:, k - 1] == ranked[:, k]
+    assert tied[:27].any() and not tied[27:].any()
+    expected = _full_sort_rows(pts, np.arange(len(pts)), np.inf, k)
+    assert np.array_equal(knn_bruteforce(PointCloud(pts), k).indices, expected)
+    assert np.array_equal(ball_query(PointCloud(pts), 1e6, k).indices, expected)
