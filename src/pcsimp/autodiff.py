@@ -487,7 +487,11 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
             raise IoFailureError(f"{path}: arrays {prev} and {name} overlap")
     out = {}
     for start, end, name, shape in spans:
-        arr = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start).reshape(shape).copy()
+        flat = np.frombuffer(payload, dtype="<f4", count=(end - start) // 4, offset=start)
+        try:
+            arr = flat.reshape(shape).copy()
+        except ValueError as e:  # more dimensions, or larger ones, than numpy supports
+            raise IoFailureError(f"{path}: {name}: shape {list(shape)}: {e}") from None
         if not np.isfinite(arr).all():
             raise IoFailureError(f"{path}: {name}: non-finite values")
         out[name] = arr

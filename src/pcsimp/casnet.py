@@ -304,6 +304,13 @@ def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
     return ad.custom(out, (w1, b1, w2, b2), vjp)
 
 
+def _normal_floor(dtype) -> float:
+    """sqrt of the smallest normal number of `dtype`: a value at or above it
+    stays normal when squared or multiplied by a probability-sized factor.
+    Arithmetic on subnormals runs many times slower on most CPUs."""
+    return float(np.sqrt(np.finfo(dtype).tiny))
+
+
 def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
     """gamma(F_in - F_sa) + F_in, where F_sa = softmax(Q K^T / sqrt(d_k)) V
     normalizes each query row and gamma = relu(x Wg + bg).
@@ -312,30 +319,37 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
     normalization folded into its small output. Without a gradient to keep,
     the blocks share one buffer and no n-by-n matrix exists; with one, they
     fill the n-by-n matrix of exponentials the backward needs. Both ways give
-    the same values.
+    the same values. The max-shifted scores are clamped at the log of the
+    dtype's normal floor before exp, so no exponential is subnormal (in
+    float64 the clamp, at -354, does not act in practice). V carries a column
+    of ones, so each block product also yields its rows' sums.
     """
     parents = (f_in, lay.wq, lay.wk, lay.wv, lay.wg, lay.bg)
     keep = any(p.requires_grad for p in parents)
     f = f_in.data
-    n = f.shape[0]
+    n, c = f.shape[0], lay.wv.data.shape[1]
     inv_sqrt_dk = f.dtype.type(1.0 / np.sqrt(lay.wk.data.shape[1]))
+    low = f.dtype.type(np.log(_normal_floor(f.dtype)))
     q = f @ lay.wq.data
     q *= inv_sqrt_dk
     kt = (f @ lay.wk.data).T
-    v = f @ lay.wv.data
+    v_ones = np.empty((n, c + 1), dtype=q.dtype)
+    np.matmul(f, lay.wv.data, out=v_ones[:, :c])
+    v_ones[:, c] = 1
+    v = v_ones[:, :c]
     block = ATTENTION_BLOCK_ROWS
     expo = np.empty((n, n) if keep else (min(block, n), n), dtype=q.dtype)
-    sums = np.empty((n, 1), dtype=q.dtype)
-    f_sa = np.empty_like(v)
+    weighted = np.empty_like(v_ones)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         e = expo[lo:hi] if keep else expo[: hi - lo]
         np.matmul(q[lo:hi], kt, out=e)
         e -= e.max(axis=1, keepdims=True)
+        np.maximum(e, low, out=e)
         np.exp(e, out=e)
-        e.sum(axis=1, keepdims=True, out=sums[lo:hi])
-        np.matmul(e, v, out=f_sa[lo:hi])
-        f_sa[lo:hi] /= sums[lo:hi]
+        np.matmul(e, v_ones, out=weighted[lo:hi])
+    sums = weighted[:, c:]
+    f_sa = weighted[:, :c] / sums
     diff = f - f_sa
     gamma = _affine_relu(diff, lay.wg, lay.bg)
     out = gamma + f
@@ -377,7 +391,9 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: boo
     select from the logits, because the softmax can round two nearly equal
     logits to one value. The logits are formed in row blocks under a running
     argmax; with keep_soft=False (hard inference) the blocks share one buffer
-    and S~ is not formed, and None is returned in its place.
+    and S~ is not formed, and None is returned in its place. Entries of S~
+    below the square root of the dtype's smallest normal number are set to
+    zero after normalizing.
     """
     w1, b1 = weights.rho_hidden
     w2 = weights.rho_out
@@ -405,6 +421,9 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: boo
     soft -= best
     np.exp(soft, out=soft)
     soft /= soft.sum(axis=0, keepdims=True)
+    # flush entries below the normal floor to zero, so that neither S~ nor
+    # its square in the cosine loss holds a subnormal
+    soft[soft < _normal_floor(soft.dtype)] = 0
 
     def vjp(g):
         g_logits = soft * (g - (g * soft).sum(axis=0, keepdims=True))

@@ -28,6 +28,7 @@ from .core import (
     SENTINEL,
     ShapeMismatchError,
     ratio_to_count,
+    read_text,
 )
 from .io import format_report, read_cloud, write_cloud, write_report
 from .losses import cosine_loss, subset_loss, total_loss
@@ -154,11 +155,10 @@ def _collect_clouds(directory: str) -> list[tuple[str, PointCloud]]:
 
 
 def _read_labels(path: str) -> dict[str, int]:
+    """`filename,label` lines; blank lines and '#' lines are skipped. Raises
+    IoFailureError (unreadable or not UTF-8) or ParseFailureError."""
     labels = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

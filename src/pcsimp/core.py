@@ -94,6 +94,17 @@ class ConfigError(PcsimpError):
     pass
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; a file that cannot be read or decoded
+    raises IoFailureError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise IoFailureError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise IoFailureError(f"{path}: not UTF-8 text: {e}") from e
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """An n-by-3 matrix of spatial coordinates. Immutable after construction."""
@@ -268,13 +279,13 @@ class CasNetConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CasNetConfig":
-        """Parse a plain-text key=value config file; '#' starts a comment."""
+        """Parse a plain-text key=value config file; '#' starts a comment.
+
+        Raises IoFailureError (unreadable or not UTF-8) or ConfigError.
+        """
         cfg = cls()
         names = {f.name: f for f in fields(cls)}
-        try:
-            text = Path(path).read_text()
-        except OSError as e:
-            raise IoFailureError(str(e)) from e
+        text = read_text(path)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -19,6 +19,7 @@ from .core import (
     PcsimpError,
     PointCloud,
     RunRecord,
+    read_text,
     validate_cloud,
 )
 
@@ -28,7 +29,11 @@ REPORT_COLUMNS = ("method", "n_in", "n_out", "oa", "k", "t_batch_s", "t_sample_s
 
 
 def read_kitti_bin(path: str | Path) -> PointCloud:
-    """Parse consecutive 16-byte records; keep xyz, drop intensity."""
+    """Parse consecutive 16-byte records; keep xyz, drop intensity.
+
+    Raises IoFailureError (unreadable), MalformedLengthError (size not a
+    whole number of records), EmptyCloudError or NonFiniteCoordinateError.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -55,11 +60,13 @@ def write_kitti_bin(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_xyz(path: str | Path) -> PointCloud:
-    """One point per line, whitespace-separated decimals, parsed as float32."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise IoFailureError(str(e)) from e
+    """One point per line, whitespace-separated decimals, parsed as float32.
+
+    Raises IoFailureError (unreadable or not UTF-8), ParseFailureError (a
+    line that is not three decimals), EmptyCloudError or
+    NonFiniteCoordinateError (including values beyond the float32 range).
+    """
+    text = read_text(path)
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -17,6 +17,7 @@ from .losses import cosine_loss, subset_loss, total_loss
 CLASS_NAMES = ("sphere", "cube", "plane")
 # test clouds per checked epoch whose hard samples are checked to be exact input rows
 SUBSET_CHECKS = 4
+TRAIN_DTYPE = np.float32
 
 
 class AdamState:
@@ -238,11 +239,22 @@ def train(
     the straight-through rule. The batch loss is the mean of per-cloud losses,
     each cloud building its own graph. History records every epoch; with
     early_stop_acc set, training stops once test accuracy reaches it.
+
+    Training runs in float32, the precision checkpoints store and inference
+    on float32 frames runs in: the weights start in float32 and the train and
+    test clouds are cast once per call (copies; `dataset` is not changed), so
+    the forward, the losses, the backward, Adam and the test-split sampling
+    all compute in float32. The layers keep their softmaxes free of
+    subnormals (see casnet.offset_attention and casnet.soft_matrix).
     """
     config.validate(dataset.spec.points_per_cloud)
     m = config.output_count(dataset.spec.points_per_cloud)
-    weights = casnet.init_weights(config, m, dtype=np.float64)
-    head = init_head(dataset.n_classes, dtype=np.float64, seed=config.seed + 1)
+    weights = casnet.init_weights(config, m, dtype=TRAIN_DTYPE)
+    head = init_head(dataset.n_classes, dtype=TRAIN_DTYPE, seed=config.seed + 1)
+    train_split, test_split = (
+        [LabeledCloud(PointCloud(it.cloud.points.astype(TRAIN_DTYPE)), it.label) for it in split]
+        for split in (dataset.train, dataset.test)
+    )
     params = weights.parameters() + head.parameters()
     state = AdamState(params)
     rng = np.random.default_rng(config.seed + 2)
@@ -250,12 +262,12 @@ def train(
 
     for epoch in range(epochs):
         started = time.perf_counter()
-        order = rng.permutation(len(dataset.train))
+        order = rng.permutation(len(train_split))
         sums = np.zeros(4)
         n_batches = 0
         train_hits = 0
         for lo in range(0, len(order), batch_size):
-            batch = [dataset.train[i] for i in order[lo : lo + batch_size]]
+            batch = [train_split[i] for i in order[lo : lo + batch_size]]
             for p in params:
                 p.zero_grad()
             batch_sums = np.zeros(4)
@@ -283,9 +295,9 @@ def train(
             n_batches += 1
 
         # running train accuracy from the batch forwards; test via fresh inference
-        train_acc = train_hits / len(dataset.train)
+        train_acc = train_hits / len(train_split)
         check = config.mode == "ahsn" and (epoch % subset_check_every == 0 or epoch == epochs - 1)
-        test_acc = _split_accuracy(dataset.test, config, weights, head, SUBSET_CHECKS if check else 0)
+        test_acc = _split_accuracy(test_split, config, weights, head, SUBSET_CHECKS if check else 0)
         avg = sums / n_batches
         history.epochs.append(
             EpochStats(

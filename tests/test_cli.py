@@ -268,6 +268,8 @@ FOUR_FLOATS = np.arange(4, dtype="<f4").tobytes()
         pytest.param([{"name": "w", "shape": [2], "offset": 0}, {"name": "w", "shape": [2], "offset": 8}], FOUR_FLOATS, id="duplicate-names"),
         pytest.param([{"name": "w", "shape": [2.0], "offset": 0}], FOUR_FLOATS, id="non-integer-shape"),
         pytest.param({"name": "w"}, FOUR_FLOATS, id="manifest-not-a-list"),
+        pytest.param([{"name": "w", "shape": [0, 10**20], "offset": 0}], FOUR_FLOATS, id="shape-numpy-cannot-build"),
+        pytest.param([{"name": "w", "shape": [1] * 65, "offset": 0}], FOUR_FLOATS, id="more-dimensions-than-numpy-allows"),
     ],
 )
 def test_bench_rejects_malformed_weights_with_one_line(tmp_path, capsys, manifest, payload):
@@ -323,3 +325,38 @@ def test_bench_rejects_head_file_without_head_weights(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "head.cls.w" in err
+
+
+NOT_UTF8 = b"\xff\xfe1 2 3\n"
+
+
+def _assert_one_io_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("io error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_sample_rejects_a_non_utf8_xyz_with_one_line(tmp_path, capsys):
+    src = tmp_path / "bad.xyz"
+    src.write_bytes(NOT_UTF8)
+    code = main(["sample", "--input", str(src), "--method", "rs", "--ratio", "1", "--output", str(tmp_path / "o.xyz")])
+    assert code == 2
+    _assert_one_io_line(capsys, src)
+
+
+def test_bench_rejects_non_utf8_labels_with_one_line(tmp_path, capsys):
+    data = _small_clouds(tmp_path)
+    head = tmp_path / "head.pcw"
+    ad.save_arrays(head, training.init_head(3, dtype=np.float32).to_arrays())
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(NOT_UTF8)
+    code = main(["bench", "--input", str(data), "--methods", "rs", "--head", str(head), "--labels", str(labels)])
+    assert code == 2
+    _assert_one_io_line(capsys, labels)
+
+
+def test_sample_rejects_a_non_utf8_config_file_with_one_line(cloud_file, tmp_path, capsys):
+    config = tmp_path / "casnet.cfg"
+    config.write_bytes(NOT_UTF8)
+    code = main(["sample", "--input", str(cloud_file), "--method", "rs", "--ratio", "2", "--config", str(config), "--output", str(tmp_path / "o.xyz")])
+    assert code == 2
+    _assert_one_io_line(capsys, config)

@@ -240,3 +240,72 @@ def test_hard_rows_break_ties_to_the_lower_row_across_blocks(keep_soft):
     f = Tensor(np.ones((casnet.ATTENTION_BLOCK_ROWS + 1, 16)))
     _, rows = casnet.soft_matrix(f, weights, 5, keep_soft=keep_soft)
     assert rows.tolist() == [0] * 5
+
+
+# float32 inputs at a scale where each attention row's scores, and each score
+# column's logits, spread over more than 110, so that exp of the max-shifted
+# values would span the float32 subnormal range (about -87 to -103)
+F32 = np.float32
+
+
+def is_subnormal(a):
+    a = np.abs(a)
+    return (a > 0) & (a < np.finfo(a.dtype).tiny)
+
+
+def wide_attention(n=96, seed=20):
+    """Small integers in F and in Q and K's weights, at c=4 (1/sqrt(d_k) = 0.5),
+    so that float32 computes every score exactly: a float32 output differs
+    from the float64 one by the rounding after the scores only."""
+    rng = np.random.default_rng(seed)
+    lay = unit_weights(config_of(c=4), 5, seed=seed).detached(F32).layers[0]
+    lay.wq.data[...] = rng.integers(-3, 4, size=(4, 4))
+    lay.wk.data[...] = rng.integers(-3, 4, size=(4, 4))
+    f = rng.integers(-5, 6, size=(n, 4)).astype(F32)
+    for p in (lay.wq, lay.wk, lay.wv, lay.wg, lay.bg):
+        p.requires_grad = True
+    scores = (f @ lay.wq.data) @ (f @ lay.wk.data).T / 2
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    assert (shifted.min(axis=1) < -110).all() and ((shifted < -87.4) & (shifted > -103.3)).sum() > n
+    return f, lay
+
+
+def test_offset_attention_in_float32_makes_no_subnormal_output_or_gradient():
+    f, lay = wide_attention()
+    f_in = Tensor(f, requires_grad=True)
+    params = [f_in, lay.wq, lay.wk, lay.wv, lay.wg, lay.bg]
+    upstream = np.random.default_rng(21).normal(size=(len(f), 4)).astype(F32)
+    # no step of the forward or backward, exp included, underflows
+    with np.errstate(under="raise"):
+        out = casnet.offset_attention(f_in, lay)
+        g = grads(out, params, upstream)
+    for a in [out.data, *g]:
+        assert a.dtype == F32 and not is_subnormal(a).any()
+
+
+def test_offset_attention_in_float32_keeps_kept_and_unkept_values_equal():
+    f, lay = wide_attention(n=casnet.ATTENTION_BLOCK_ROWS + 40)
+    kept = casnet.offset_attention(Tensor(f, requires_grad=True), lay)
+    for p in (lay.wq, lay.wk, lay.wv, lay.wg, lay.bg):
+        p.requires_grad = False
+    assert np.array_equal(casnet.offset_attention(Tensor(f), lay).data, kept.data)
+
+
+def test_offset_attention_in_float32_stays_close_to_float64():
+    f, lay = wide_attention()
+    got = casnet.offset_attention(Tensor(f), lay).data
+    lay64 = casnet.OaLayerWeights(*(Tensor(p.data.astype(np.float64)) for p in (lay.wq, lay.wk, lay.wv, lay.wg, lay.bg)))
+    want = tape_offset_attention(Tensor(f.astype(np.float64)), lay64).data
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_soft_matrix_in_float32_flushes_entries_below_the_normal_floor():
+    weights = unit_weights(config_of(), 5, seed=22).detached(F32)
+    f = Tensor((np.random.default_rng(23).normal(size=(200, 16)) * 30).astype(F32))
+    logits = np.maximum(f.data @ weights.rho_hidden[0].data + weights.rho_hidden[1].data, 0) @ weights.rho_out.data
+    shifted = logits - logits.max(axis=0)
+    assert (shifted.min(axis=0) < -110).all() and ((shifted < -87.4) & (shifted > -103.3)).any()
+    soft, _ = casnet.soft_matrix(f, weights, 5)
+    s = soft.data
+    assert s.dtype == F32 and not ((s > 0) & (s < np.sqrt(np.finfo(F32).tiny))).any()
+    assert np.allclose(s.sum(axis=0), 1, atol=1e-6)

@@ -204,3 +204,33 @@ def test_train_rejects_a_hard_sample_that_is_not_input_rows(monkeypatch):
     monkeypatch.setattr(casnet, "sample", shifted)
     with pytest.raises(AssertionError, match="exact row subset"):
         _tiny_train("ahsn", epochs=1)
+
+
+def test_train_computes_in_float32_and_leaves_the_callers_clouds_alone():
+    spec = DatasetSpec(train_per_class=2, test_per_class=1, points_per_cloud=32, seed=1)
+    dataset = generate_dataset(spec)
+    before = [it.cloud.points.copy() for it in dataset.train + dataset.test]
+    config = CasNetConfig(k=4, oa_layers=1, c=8, m=8, mode="ahsn", backend="ball_query", embed_hidden=8, score_hidden=8, cosine_axis="columns")
+    weights, head, _ = training.train(config, dataset, epochs=1, lr=1e-3, batch_size=3)
+    arrays = {**weights.to_arrays(), **head.to_arrays()}
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+    for it, pts in zip(dataset.train + dataset.test, before):
+        assert it.cloud.points.dtype == np.float64 and np.array_equal(it.cloud.points, pts)
+
+
+@pytest.mark.parametrize("mode", ["assn", "ahsn"])
+def test_a_training_step_builds_only_float32_nodes(monkeypatch, mode):
+    # every node's data, not the gradients: _accumulate casts a gradient to its
+    # tensor's dtype, which would hide a float64 node feeding a float32 one
+    roots = []
+    real = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: roots.append(root) or real(root))
+    _tiny_train(mode, epochs=1)
+    seen, stack, dtypes = set(), [roots[0]], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            dtypes.add(node.data.dtype)
+            stack.extend(node._parents)
+    assert len(seen) > 20 and dtypes == {np.dtype(np.float32)}
