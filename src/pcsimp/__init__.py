@@ -3,11 +3,9 @@ baselines, neighborhood-search backends, and a benchmark CLI."""
 
 from .core import (
     CasNetConfig,
-    HardSamplingMatrix,
     NeighborTable,
     PointCloud,
     RunRecord,
-    SoftSamplingMatrix,
     ratio_to_count,
     validate_cloud,
 )
@@ -16,11 +14,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CasNetConfig",
-    "HardSamplingMatrix",
     "NeighborTable",
     "PointCloud",
     "RunRecord",
-    "SoftSamplingMatrix",
     "ratio_to_count",
     "validate_cloud",
     "__version__",

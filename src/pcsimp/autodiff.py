@@ -284,20 +284,6 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def bw(g):
-        if a.requires_grad:
-            gg = g / count
-            if axis is None:
-                _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
-            else:
-                _accumulate(a, np.broadcast_to(np.expand_dims(gg, axis) if not keepdims else gg, a.data.shape).copy())
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
-
-
 def max_over_axis(a: Tensor, axis: int) -> Tensor:
     """Max along one axis; ties route the gradient to the lowest index."""
     arg = a.data.argmax(axis=axis)  # argmax takes the first occurrence

@@ -20,14 +20,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .core import (
     CasNetConfig,
-    HardSamplingMatrix,
     IndexOutOfRangeError,
     NeighborTable,
     NoCacheError,
     PointCloud,
     SENTINEL,
     ShapeMismatchError,
-    SoftSamplingMatrix,
     validate_cloud,
 )
 from .nnsearch import find_neighbors
@@ -194,7 +192,8 @@ class ForwardCache:
 
     At k=1 no search runs and `neighbors` lists each point as its own only
     neighbor; a search would list the lowest-index exact duplicate instead,
-    which gives the same zero offset.
+    which gives the same zero offset. `rows` lists the input row each output
+    point of a hard (AHSN) sample copies; it is None for a soft (ASSN) one.
     """
 
     neighbors: NeighborTable
@@ -204,9 +203,8 @@ class ForwardCache:
     f_oa: list[Tensor]
     f_concat: Tensor
     soft: Tensor
-    hard: HardSamplingMatrix | None
+    rows: np.ndarray | None
     p_sp: Tensor
-    mode: str
 
 
 def group_features(cloud: PointCloud, neighbors: NeighborTable) -> np.ndarray:
@@ -434,28 +432,6 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: boo
     return ad.custom(soft, (f_concat, w1, b1, w2), vjp), rows
 
 
-def harden(soft: SoftSamplingMatrix) -> HardSamplingMatrix:
-    """Per column, set the largest entry to 1 (ties to the lower row), rest to 0."""
-    v = soft.values
-    hard = np.zeros_like(v)
-    hard[v.argmax(axis=0), np.arange(v.shape[1])] = 1.0
-    return HardSamplingMatrix(hard)
-
-
-def sample_soft(soft: SoftSamplingMatrix, cloud: PointCloud) -> PointCloud:
-    """Convex combinations of input points: P_sp = S~^T P_in."""
-    if soft.n != cloud.n:
-        raise ShapeMismatchError(f"matrix rows {soft.n} vs cloud size {cloud.n}")
-    return PointCloud(soft.values.T @ cloud.points.astype(soft.values.dtype, copy=False))
-
-
-def sample_hard(hard: HardSamplingMatrix, cloud: PointCloud) -> PointCloud:
-    """Exact row selection: P_sp = S^T P_in, a bitwise subset of the input."""
-    if hard.n != cloud.n:
-        raise ShapeMismatchError(f"matrix rows {hard.n} vs cloud size {cloud.n}")
-    return PointCloud(cloud.points[hard.selected_rows()])
-
-
 def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
     """Neighbor search, grouping, embedding and the attention stack, in the weights' dtype."""
     validate_cloud(cloud)
@@ -483,13 +459,11 @@ def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
 
     p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
     if config.mode == "ahsn":
-        hard_t = ad.ste_harden(s_tilde, rows)
-        p_sp = ad.matmul(ad.transpose(hard_t), p_in)
-        hard = HardSamplingMatrix(hard_t.data)
+        p_sp = ad.matmul(ad.transpose(ad.ste_harden(s_tilde, rows)), p_in)
         out_cloud = PointCloud(cloud.points[rows])  # exact rows, not the matmul
     else:
         p_sp = ad.matmul(ad.transpose(s_tilde), p_in)
-        hard = None
+        rows = None
         out_cloud = PointCloud(p_sp.data)
     cache = ForwardCache(
         neighbors=neighbors,
@@ -499,9 +473,8 @@ def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
         f_oa=f_oa,
         f_concat=f_concat,
         soft=s_tilde,
-        hard=hard,
+        rows=rows,
         p_sp=p_sp,
-        mode=config.mode,
     )
     return out_cloud, cache
 
@@ -514,7 +487,7 @@ def backward_ste(loss_root: Tensor, cache: ForwardCache) -> None:
     piecewise constant in the weights, so its true derivative is zero almost
     everywhere and the straight-through gradient is deliberately not that.
     """
-    if cache.mode != "ahsn" or cache.hard is None:
+    if cache.rows is None:
         raise NoCacheError("backward_ste requires an AHSN forward cache")
     ad.backward(loss_root)
 

@@ -89,9 +89,3 @@ def fps_chunked(cloud: PointCloud, m: int, chunks: int) -> SampleResult:
     idx = np.concatenate(picked)
     return SampleResult(idx, PointCloud(cloud.points[idx]))
 
-
-def crop_max_points(cloud: PointCloud, cap: int, seed: int) -> PointCloud:
-    """Random crop to at most `cap` points; identity when already small enough."""
-    if cloud.n <= cap:
-        return cloud
-    return random_sample(cloud, cap, seed).cloud

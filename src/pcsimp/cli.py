@@ -49,6 +49,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: a comma list of integers >= 1."""
+    return [_positive_int(v) for v in text.split(",")]
+
+
 def _config_from_args(args) -> CasNetConfig:
     cfg = CasNetConfig.from_file(args.config) if getattr(args, "config", None) else CasNetConfig()
     for flag, attr in (
@@ -112,7 +128,7 @@ def _sampler_fn(method: str, args, casnet_setups: dict):
     if method == "fps":
         return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.fps(cloud, m, 0))
     if method == "fps-chunked":
-        chunks = getattr(args, "chunks", None) or 8
+        chunks = args.chunks
         return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.fps_chunked(cloud, m, chunks))
     if method == "casnet":
         return lambda cloud, m, seed: casnet.sample(cloud, *casnet_setups[m])
@@ -179,7 +195,7 @@ def cmd_bench(args) -> int:
     for mth in methods:
         if mth not in METHODS:
             raise PcsimpError(f"unknown method {mth!r}")
-    ratios = [int(r) for r in args.ratios.split(",")]
+    ratios = args.ratios
     config = _config_from_args(args)
     weights = _load_sampler_weights(args.weights) if args.weights else None
     head = None
@@ -248,8 +264,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_nnbench(args) -> int:
-    sizes = [int(v) for v in args.n.split(",")]
-    ks = [int(v) for v in args.k.split(",")]
     backends = args.backends.split(",")
     for b in backends:
         if b not in BACKENDS:
@@ -257,20 +271,15 @@ def cmd_nnbench(args) -> int:
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>6} {'k':>4} {'backend':<15} {'time_s':>10}  verified")
     failures = 0
-    for n in sizes:
+    for n in args.n:
         cloud = PointCloud(rng.random((n, 3)) * 2.0)
-        for k in ks:
+        for k in args.k:
             if k > n:
                 continue
             reference = nnsearch.knn_bruteforce(cloud, k).indices
             for backend in backends:
                 started = time.perf_counter()
-                if backend == "ball_query":
-                    table = nnsearch.ball_query(cloud, args.radius, k)
-                elif backend == "knn_bruteforce":
-                    table = nnsearch.knn_bruteforce(cloud, k)
-                else:
-                    table = nnsearch.kdtree_knn(nnsearch.kdtree_build(cloud), cloud, k)
+                table = nnsearch.find_neighbors(cloud, backend, k, args.radius)
                 elapsed = time.perf_counter() - started
                 expected = reference
                 if backend == "ball_query":
@@ -347,7 +356,6 @@ def _gradcheck_op_cases():
     cases.append(("sqrt", [pos], lambda ps: ad.tsum(ad.sqrt(ps[0]))))
     cases.append(("sum", [x], lambda ps: ad.tsum(ad.mul(ps[0], ps[0]))))
     cases.append(("sum_axis", [x], lambda ps: ad.tsum(ad.mul(ad.tsum(ps[0], axis=1, keepdims=True), ad.tsum(ps[0], axis=1, keepdims=True)))))
-    cases.append(("mean", [x], lambda ps: ad.mean(ad.mul(ps[0], ps[0]))))
     mx = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     cases.append(("max_over_axis", [mx], lambda ps: ad.tsum(ad.mul(ad.max_over_axis(ps[0], 1), ad.max_over_axis(ps[0], 1)))))
     sm = t((3, 5))
@@ -462,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark methods over a directory of clouds")
     p.add_argument("--input", required=True)
     p.add_argument("--methods", default="rs,fps,casnet")
-    p.add_argument("--ratios", default="2")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--ratios", type=_positive_ints, default="2")
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
@@ -475,17 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("nnbench", help="time and verify the search backends")
-    p.add_argument("--n", default="1024")
-    p.add_argument("--k", default="1,8,32")
+    p.add_argument("--n", type=_positive_ints, default="1024")
+    p.add_argument("--k", type=_positive_ints, default="1,8,32")
     p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--backends", default="ball_query,knn_bruteforce,kdtree")
+    p.add_argument("--backends", default=",".join(BACKENDS))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_nnbench)
 
     p = sub.add_parser("train", help="train the sampler plus toy head on synthetic data")
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--epochs", type=_positive_int, default=100)
     p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--batch", type=int, default=12)
+    p.add_argument("--batch", type=_positive_int, default=12)
     p.add_argument("--out", required=True)
     p.add_argument("--history")
     p.add_argument("--seed", type=int)
@@ -493,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--count", type=int, help="output points m")
     p.add_argument("--cosine-axis", dest="cosine_axis", choices=("rows", "columns"))
-    p.add_argument("--train-per-class", type=int, default=100)
-    p.add_argument("--test-per-class", type=int, default=30)
+    p.add_argument("--train-per-class", type=_positive_int, default=100)
+    p.add_argument("--test-per-class", type=_positive_int, default=30)
     p.add_argument("--points", type=int, default=256)
     add_casnet_flags(p)
     p.set_defaults(handler=cmd_train)

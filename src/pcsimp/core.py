@@ -9,7 +9,7 @@ import numpy as np
 
 SENTINEL = -1
 
-BACKENDS = ("ball_query", "knn_bruteforce", "kdtree")
+BACKENDS = ("ball_query", "knn_bruteforce")
 MODES = ("assn", "ahsn")
 COSINE_AXES = ("rows", "columns")
 
@@ -171,60 +171,6 @@ class NeighborTable:
             r = row[row != SENTINEL]
             if len(np.unique(r)) != len(r):
                 raise PcsimpError("duplicate neighbor indices within a row")
-
-
-@dataclass(frozen=True)
-class SoftSamplingMatrix:
-    """Column-stochastic n-by-m selection operator: entries >= 0, columns sum to 1."""
-
-    values: np.ndarray
-
-    COLUMN_SUM_TOL = 1e-5
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def validate(self) -> None:
-        v = self.values
-        if v.ndim != 2:
-            raise ShapeMismatchError(f"expected (n, m) matrix, got {v.shape}")
-        if (v < 0).any():
-            raise PcsimpError("soft sampling matrix has negative entries")
-        sums = v.sum(axis=0)
-        if np.abs(sums - 1.0).max() > self.COLUMN_SUM_TOL:
-            raise PcsimpError("soft sampling matrix columns do not sum to 1")
-
-
-@dataclass(frozen=True)
-class HardSamplingMatrix:
-    """Binary n-by-m selection operator with exactly one 1 per column."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def selected_rows(self) -> np.ndarray:
-        return self.values.argmax(axis=0)
-
-    def validate(self) -> None:
-        v = self.values
-        if v.ndim != 2:
-            raise ShapeMismatchError(f"expected (n, m) matrix, got {v.shape}")
-        if not np.isin(v, (0, 1)).all():
-            raise PcsimpError("hard sampling matrix entries must be 0 or 1")
-        if not (v.sum(axis=0) == 1).all():
-            raise PcsimpError("each column must select exactly one row")
 
 
 @dataclass

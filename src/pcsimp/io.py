@@ -81,7 +81,9 @@ def read_xyz(path: str | Path) -> PointCloud:
             raise ParseFailureError(lineno, str(e)) from e
     if not rows:
         raise EmptyCloudError(f"{path}: no points")
-    pts = np.asarray(rows, dtype=np.float32)
+    # a value beyond the float32 range casts to inf, which validate_cloud reports
+    with np.errstate(over="ignore"):
+        pts = np.asarray(rows, dtype=np.float32)
     cloud = PointCloud(pts)
     validate_cloud(cloud)
     return cloud

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import DegenerateAxisError, EmptyCloudError, PointCloud, SoftSamplingMatrix
+from .core import DegenerateAxisError, EmptyCloudError, PointCloud
 
 
 def _as_tensor(x) -> Tensor:
@@ -16,8 +16,6 @@ def _as_tensor(x) -> Tensor:
         return x
     if isinstance(x, PointCloud):
         return Tensor(x.points)
-    if isinstance(x, SoftSamplingMatrix):
-        return Tensor(x.values)
     return Tensor(np.asarray(x))
 
 

@@ -1,6 +1,7 @@
-"""Three interchangeable neighborhood-search backends over point clouds.
+"""Two interchangeable neighborhood-search backends over point clouds: exact
+k nearest neighbors by brute force, and a uniform-grid ball query.
 
-All backends share the same contract: row i of the result lists neighbor
+Both share the same contract: row i of the result lists neighbor
 indices of point i nearest-first, ties broken toward the lower index, with -1
 padding any unused slots. The query point itself is a valid neighbor at
 distance zero. Distances are compared squared; no square roots are taken.
@@ -8,20 +9,16 @@ distance zero. Distances are compared squared; no square roots are taken.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .core import (
     ConfigError,
-    EmptyCloudError,
     KTooLargeError,
     NeighborTable,
     PointCloud,
     SENTINEL,
 )
 
-DEFAULT_BUCKET_SIZE = 16
 # ball_query ranks runs of grid cells together up to about this many distances
 _BATCH = 1 << 15
 
@@ -168,156 +165,10 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     return NeighborTable(out)
 
 
-class _Leaf:
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: np.ndarray):
-        self.indices = indices
-
-
-class _Inner:
-    __slots__ = ("axis", "split", "left", "right")
-
-    def __init__(self, axis, split, left, right):
-        self.axis = axis
-        self.split = split
-        self.left = left
-        self.right = right
-
-
-class KdTree:
-    """Balanced spatial binary tree; split axis cycles x, y, z.
-
-    Splits take the left median of the coordinate-sorted node points, so the
-    structure is deterministic for a given input ordering and left subtree
-    coordinates never exceed the split value.
-    """
-
-    def __init__(self, points: np.ndarray, bucket_size: int = DEFAULT_BUCKET_SIZE):
-        self.points = points
-        self.bucket_size = bucket_size
-        self.root = self._build(np.arange(points.shape[0], dtype=np.int64), 0)
-
-    def _build(self, indices: np.ndarray, depth: int):
-        if len(indices) <= self.bucket_size:
-            return _Leaf(indices)
-        axis = depth % 3
-        coords = self.points[indices, axis]
-        order = np.argsort(coords, kind="stable")
-        sorted_idx = indices[order]
-        mid = (len(indices) - 1) // 2
-        split = coords[order[mid]]
-        return _Inner(
-            axis,
-            split,
-            self._build(sorted_idx[: mid + 1], depth + 1),
-            self._build(sorted_idx[mid + 1 :], depth + 1),
-        )
-
-    def depth(self) -> int:
-        def walk(node):
-            if isinstance(node, _Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-    def traverse_indices(self) -> np.ndarray:
-        """Concatenated leaf contents, left to right."""
-        chunks: list[np.ndarray] = []
-
-        def walk(node):
-            if isinstance(node, _Leaf):
-                chunks.append(node.indices)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-    def validate(self) -> None:
-        seen = self.traverse_indices()
-        n = self.points.shape[0]
-        if len(seen) != n or len(np.unique(seen)) != n:
-            raise ValueError("tree does not contain each input point exactly once")
-
-        def walk(node):
-            if isinstance(node, _Leaf):
-                return
-            left_idx = _collect(node.left)
-            right_idx = _collect(node.right)
-            if left_idx.size and self.points[left_idx, node.axis].max() > node.split:
-                raise ValueError("left subtree exceeds split value")
-            if right_idx.size and self.points[right_idx, node.axis].min() < node.split:
-                raise ValueError("right subtree below split value")
-            walk(node.left)
-            walk(node.right)
-
-        def _collect(node):
-            if isinstance(node, _Leaf):
-                return node.indices
-            return np.concatenate([_collect(node.left), _collect(node.right)])
-
-        walk(self.root)
-
-    def query(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k nearest points to q, sorted by (distance, index)."""
-        pts = self.points
-        # max-heap of (-d2, -idx): the root is the current worst candidate
-        heap: list[tuple[float, float]] = []
-        stack: list[tuple[object, float]] = [(self.root, 0.0)]
-        while stack:
-            node, axis_d2 = stack.pop()
-            if len(heap) == k and axis_d2 > -heap[0][0]:
-                continue
-            if isinstance(node, _Leaf):
-                idx = node.indices
-                diff = pts[idx] - q
-                d2 = (diff * diff).sum(axis=1)
-                order = np.lexsort((idx, d2))
-                for j in order:
-                    cand = (float(d2[j]), int(idx[j]))
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-cand[0], -cand[1]))
-                    else:
-                        worst = (-heap[0][0], -heap[0][1])
-                        if cand >= worst:
-                            break  # leaf is sorted; nothing further can improve
-                        heapq.heapreplace(heap, (-cand[0], -cand[1]))
-                continue
-            diff = float(q[node.axis]) - float(node.split)
-            near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
-            stack.append((far, diff * diff))
-            stack.append((near, axis_d2))
-        result = sorted((-d2, -i) for d2, i in heap)
-        return np.array([i for _, i in result], dtype=np.int64)
-
-
-def kdtree_build(cloud: PointCloud, bucket_size: int = DEFAULT_BUCKET_SIZE) -> KdTree:
-    if cloud.n == 0:
-        raise EmptyCloudError("cannot build a tree over an empty cloud")
-    return KdTree(cloud.points, bucket_size)
-
-
-def kdtree_knn(tree: KdTree, cloud: PointCloud, k: int) -> NeighborTable:
-    """k-NN via the tree; output is index-identical to knn_bruteforce."""
-    pts = cloud.points
-    n = pts.shape[0]
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds cloud size {n}")
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        out[i] = tree.query(pts[i], k)
-    return NeighborTable(out)
-
-
 def find_neighbors(cloud: PointCloud, backend: str, k: int, radius: float) -> NeighborTable:
     """Dispatch to the configured backend."""
     if backend == "ball_query":
         return ball_query(cloud, radius, k)
     if backend == "knn_bruteforce":
         return knn_bruteforce(cloud, k)
-    if backend == "kdtree":
-        return kdtree_knn(kdtree_build(cloud), cloud, k)
     raise ConfigError(f"unknown backend {backend!r}")

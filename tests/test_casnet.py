@@ -9,7 +9,6 @@ from pcsimp.core import (
     NeighborTable,
     NoCacheError,
     PointCloud,
-    SoftSamplingMatrix,
 )
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
 from pcsimp.nnsearch import knn_bruteforce
@@ -182,7 +181,8 @@ def test_soft_matrix_columns_sum_to_one():
     weights = casnet.init_weights(config, 4)
     f = Tensor(np.random.default_rng(10).normal(size=(7, 8)))
     soft, _ = casnet.soft_matrix(f, weights, 4)
-    SoftSamplingMatrix(soft.data).validate()
+    assert (soft.data >= 0).all()
+    assert np.abs(soft.data.sum(axis=0) - 1.0).max() <= 1e-5
 
 
 def test_soft_matrix_closed_form_small_case():
@@ -211,77 +211,6 @@ def test_soft_matrix_permutation_equivariance():
     assert np.allclose(direct, permuted, atol=1e-12)
 
 
-def test_harden_examples():
-    soft = SoftSamplingMatrix(np.array([[0.2], [0.5], [0.3]]))
-    assert casnet.harden(soft).values[:, 0].tolist() == [0, 1, 0]
-    tie = SoftSamplingMatrix(np.array([[0.5], [0.5]]))
-    assert casnet.harden(tie).values[:, 0].tolist() == [1, 0]
-
-
-def test_harden_matches_per_column_scan():
-    rng = np.random.default_rng(13)
-    raw = rng.random((4, 3))
-    soft = SoftSamplingMatrix(raw / raw.sum(axis=0, keepdims=True))
-    hard = casnet.harden(soft)
-    hard.validate()
-    for j in range(3):
-        best, best_row = -1.0, -1
-        for i in range(4):
-            if soft.values[i, j] > best:
-                best, best_row = soft.values[i, j], i
-        assert hard.values[best_row, j] == 1
-
-
-def test_sample_soft_one_hot_recovers_rows():
-    cloud = random_cloud(5, 14)
-    values = np.zeros((5, 2))
-    values[3, 0] = 1.0
-    values[1, 1] = 1.0
-    out = casnet.sample_soft(SoftSamplingMatrix(values), cloud)
-    assert np.allclose(out.points, cloud.points[[3, 1]])
-
-
-def test_sample_soft_uniform_column_is_centroid():
-    cloud = random_cloud(8, 15)
-    values = np.full((8, 1), 1 / 8)
-    out = casnet.sample_soft(SoftSamplingMatrix(values), cloud)
-    assert np.allclose(out.points[0], cloud.points.mean(axis=0))
-
-
-def test_sample_soft_stays_in_bounding_box():
-    cloud = random_cloud(30, 16)
-    rng = np.random.default_rng(17)
-    raw = rng.random((30, 6))
-    soft = SoftSamplingMatrix(raw / raw.sum(axis=0, keepdims=True))
-    out = casnet.sample_soft(soft, cloud)
-    assert (out.points >= cloud.points.min(axis=0) - 1e-12).all()
-    assert (out.points <= cloud.points.max(axis=0) + 1e-12).all()
-
-
-def test_sample_hard_identity_when_m_equals_n():
-    cloud = random_cloud(4, 18)
-    hard = casnet.harden(SoftSamplingMatrix(np.eye(4)))
-    assert np.array_equal(casnet.sample_hard(hard, cloud).points, cloud.points)
-
-
-def test_sample_hard_duplicated_column_copies_one_point():
-    cloud = random_cloud(4, 19)
-    values = np.zeros((4, 3))
-    values[0, :] = 1.0
-    out = casnet.sample_hard(casnet.HardSamplingMatrix(values), cloud)
-    assert np.array_equal(out.points, np.repeat(cloud.points[:1], 3, axis=0))
-
-
-def test_sample_hard_matches_gather():
-    rng = np.random.default_rng(20)
-    cloud = random_cloud(10, 21)
-    rows = rng.integers(0, 10, size=5)
-    values = np.zeros((10, 5))
-    values[rows, np.arange(5)] = 1.0
-    out = casnet.sample_hard(casnet.HardSamplingMatrix(values), cloud)
-    assert np.array_equal(out.points, cloud.points[rows])
-
-
 def test_forward_assn_output_within_bounding_box():
     config = tiny_config(mode="assn")
     cloud = random_cloud(16, 22)
@@ -290,7 +219,7 @@ def test_forward_assn_output_within_bounding_box():
     assert out.n == 4
     assert (out.points >= cloud.points.min(axis=0) - 1e-12).all()
     assert (out.points <= cloud.points.max(axis=0) + 1e-12).all()
-    assert cache.hard is None
+    assert cache.rows is None
 
 
 def test_forward_ahsn_output_is_bitwise_subset():
@@ -300,7 +229,8 @@ def test_forward_ahsn_output_is_bitwise_subset():
     out, cache = casnet.forward(cloud, config, weights)
     rows = {row.tobytes() for row in cloud.points}
     assert all(row.tobytes() in rows for row in out.points)
-    cache.hard.validate()
+    assert np.array_equal(out.points, cloud.points[cache.rows])
+    assert np.array_equal(cache.rows, casnet.sample(cloud, config, weights)[1])
 
 
 def test_forward_cache_shapes():
@@ -400,7 +330,7 @@ def test_fast_sample_matches_graph_forward_ahsn():
     out_graph, cache = casnet.forward(cloud, config, weights)
     out_fast, idx = casnet.sample(cloud, config, weights)
     assert np.array_equal(out_fast.points, out_graph.points)
-    assert np.array_equal(idx, cache.hard.selected_rows())
+    assert np.array_equal(idx, cache.rows)
 
 
 def test_fast_sample_matches_graph_forward_assn_full_config():
@@ -421,7 +351,7 @@ def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame(
     out_graph, cache = casnet.forward(cloud, config, weights)
     out_fast, idx = casnet.sample(cloud, config, weights)
     assert (cache.neighbors.indices == -1).any() and (cache.neighbors.indices[:, -1] >= 0).any()
-    assert np.array_equal(idx, cache.hard.selected_rows())
+    assert np.array_equal(idx, cache.rows)
     assert np.array_equal(out_fast.points, out_graph.points)
 
 
@@ -447,7 +377,7 @@ def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypat
     assert np.array_equal(cache.neighbors.indices[:, 0], np.arange(cloud.n))
     assert np.array_equal(cache.soft.data, soft.data)
     if mode == "ahsn":
-        assert np.array_equal(cache.hard.selected_rows(), rows)
+        assert np.array_equal(cache.rows, rows)
         assert np.array_equal(idx, rows)
         assert np.array_equal(out_fast.points, cloud.points[rows])
     else:

@@ -3,7 +3,6 @@ import pytest
 
 from pcsimp.classic_samplers import (
     chunk_sizes,
-    crop_max_points,
     fps,
     fps_chunked,
     random_sample,
@@ -132,25 +131,6 @@ def test_fps_chunked_is_faster_than_exact_at_scale():
     fps_chunked(cloud, 4096, 8)
     chunked = time.perf_counter() - t0
     assert chunked < exact
-
-
-def test_crop_identity_below_cap():
-    cloud = PointCloud(np.random.default_rng(9).normal(size=(100, 3)))
-    assert crop_max_points(cloud, 8192, seed=0) is cloud
-
-
-def test_crop_reduces_to_cap_with_input_rows():
-    rng = np.random.default_rng(10)
-    pts = rng.normal(size=(10000, 3)).astype(np.float32)
-    cropped = crop_max_points(PointCloud(pts), 8192, seed=1)
-    assert cropped.n == 8192
-    rows = {row.tobytes() for row in pts}
-    assert all(row.tobytes() in rows for row in cropped.points)
-
-
-def test_crop_identity_at_cap():
-    cloud = PointCloud(np.random.default_rng(11).normal(size=(64, 3)))
-    assert crop_max_points(cloud, 64, seed=0) is cloud
 
 
 def test_fps_spreads_better_than_random_sampling():

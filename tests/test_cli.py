@@ -360,3 +360,36 @@ def test_sample_rejects_a_non_utf8_config_file_with_one_line(cloud_file, tmp_pat
     code = main(["sample", "--input", str(cloud_file), "--method", "rs", "--ratio", "2", "--config", str(config), "--output", str(tmp_path / "o.xyz")])
     assert code == 2
     _assert_one_io_line(capsys, config)
+
+
+TINY_TRAIN = ["--train-per-class", "1", "--test-per-class", "1", "--points", "32", "--k", "1", "--oa", "1", "--count", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nnbench", "--n", "abc"],
+        ["nnbench", "--n", "-5"],
+        ["nnbench", "--k", "abc"],
+        ["bench", "--methods", "rs", "--ratios", "abc"],
+        ["bench", "--methods", "rs", "--repeats", "0"],
+        ["train", "--epochs", "0", *TINY_TRAIN],
+        ["train", "--batch", "0", *TINY_TRAIN],
+        ["train", *TINY_TRAIN, "--train-per-class", "0"],
+        ["train", *TINY_TRAIN, "--test-per-class", "0"],
+    ],
+)
+def test_bad_integer_flags_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    paths = {"bench": ["--input", str(_small_clouds(tmp_path))], "train": ["--out", str(tmp_path / "m.pcw")]}
+    code = main(argv + paths.get(argv[0], []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err.count("error: ") == 1
+
+
+def test_sample_rejects_zero_chunks(cloud_file, tmp_path, capsys):
+    out = tmp_path / "o.xyz"
+    code = main(["sample", "--input", str(cloud_file), "--method", "fps-chunked", "--chunks", "0", "--ratio", "2", "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")

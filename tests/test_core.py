@@ -5,14 +5,12 @@ from pcsimp.core import (
     CasNetConfig,
     ConfigError,
     EmptyCloudError,
-    HardSamplingMatrix,
     InvalidRatioError,
     NeighborTable,
     NonFiniteCoordinateError,
     PcsimpError,
     PointCloud,
     RunRecord,
-    SoftSamplingMatrix,
     ratio_to_count,
     validate_cloud,
 )
@@ -61,28 +59,6 @@ def test_neighbor_table_validation():
         NeighborTable(np.array([[-1, 0]])).validate(2)  # sentinel before real
     with pytest.raises(PcsimpError):
         NeighborTable(np.array([[1, 1]])).validate(2)  # duplicate
-
-
-def test_soft_matrix_validation():
-    good = np.full((4, 2), 0.25)
-    SoftSamplingMatrix(good).validate()
-    with pytest.raises(PcsimpError):
-        SoftSamplingMatrix(np.array([[0.5, -0.1], [0.5, 1.1]])).validate()
-    with pytest.raises(PcsimpError):
-        SoftSamplingMatrix(np.full((4, 2), 0.3)).validate()  # columns sum to 1.2
-
-
-def test_hard_matrix_validation():
-    v = np.zeros((3, 2))
-    v[0, 0] = 1
-    v[2, 1] = 1
-    HardSamplingMatrix(v).validate()
-    with pytest.raises(PcsimpError):
-        HardSamplingMatrix(np.full((3, 2), 0.5)).validate()
-    bad = np.zeros((3, 2))
-    bad[0, 0] = 1  # second column empty
-    with pytest.raises(PcsimpError):
-        HardSamplingMatrix(bad).validate()
 
 
 def test_config_defaults_follow_reference_setup():

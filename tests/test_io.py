@@ -99,6 +99,15 @@ def test_read_xyz_rejects_non_finite(tmp_path):
     assert exc.value.row == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_read_xyz_reports_a_value_beyond_float32_without_a_warning(tmp_path):
+    path = tmp_path / "cloud.xyz"
+    path.write_text("0 0 0\n1e39 0 0\n")
+    with pytest.raises(NonFiniteCoordinateError) as exc:
+        read_xyz(path)
+    assert exc.value.row == 1
+
+
 def test_xyz_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     pts = (rng.normal(size=(1000, 3)) * 123.456).astype(np.float32)

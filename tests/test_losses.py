@@ -3,7 +3,7 @@ import pytest
 
 from pcsimp import autodiff as ad
 from pcsimp.autodiff import Tensor
-from pcsimp.core import DegenerateAxisError, PointCloud, SoftSamplingMatrix
+from pcsimp.core import DegenerateAxisError, PointCloud
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
 
 
@@ -75,7 +75,7 @@ def test_subset_loss_gradient_against_finite_differences():
 
 
 def test_cosine_loss_orthogonal_rows_is_zero():
-    soft = SoftSamplingMatrix(np.eye(3))
+    soft = Tensor(np.eye(3))
     assert float(cosine_loss(soft).data) == 0.0
 
 

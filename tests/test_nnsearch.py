@@ -5,8 +5,6 @@ from pcsimp import nnsearch
 from pcsimp.core import ConfigError, KTooLargeError, PointCloud
 from pcsimp.nnsearch import (
     ball_query,
-    kdtree_build,
-    kdtree_knn,
     knn_bruteforce,
 )
 
@@ -72,62 +70,6 @@ def test_knn_duplicate_points_tie_break_to_lower_index():
     assert table.indices[0, 0] == 0
 
 
-def test_kdtree_single_point_is_single_leaf():
-    tree = kdtree_build(PointCloud(np.zeros((1, 3))))
-    assert tree.depth() == 0
-    assert tree.traverse_indices().tolist() == [0]
-
-
-def test_kdtree_depth_on_collinear_points():
-    pts = np.zeros((8, 3))
-    pts[:, 0] = np.arange(8)
-    tree = kdtree_build(PointCloud(pts), bucket_size=1)
-    assert tree.depth() <= int(np.ceil(np.log2(8))) + 1
-
-
-def test_kdtree_traversal_is_a_permutation():
-    rng = np.random.default_rng(5)
-    cloud = PointCloud(rng.normal(size=(137, 3)))
-    tree = kdtree_build(cloud, bucket_size=4)
-    seen = np.sort(tree.traverse_indices())
-    assert np.array_equal(seen, np.arange(137))
-    tree.validate()
-
-
-def test_kdtree_matches_bruteforce_examples():
-    cloud = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]]))
-    tree = kdtree_build(cloud)
-    assert np.array_equal(kdtree_knn(tree, cloud, 2).indices, knn_bruteforce(cloud, 2).indices)
-
-
-def test_kdtree_matches_oracle_on_grid_with_ties():
-    axes = np.arange(4, dtype=np.float64)
-    pts = np.array([[x, y, z] for x in axes for y in axes for z in axes])
-    cloud = PointCloud(pts)
-    tree = kdtree_build(cloud, bucket_size=8)
-    got = kdtree_knn(tree, cloud, 7).indices
-    assert np.array_equal(got, knn_oracle(pts, 7))
-    assert np.array_equal(got, knn_bruteforce(cloud, 7).indices)
-
-
-def test_kdtree_full_k_returns_distance_sorted_permutations():
-    rng = np.random.default_rng(9)
-    cloud = PointCloud(rng.normal(size=(12, 3)))
-    tree = kdtree_build(cloud, bucket_size=2)
-    table = kdtree_knn(tree, cloud, 12)
-    for row in table.indices:
-        assert sorted(row.tolist()) == list(range(12))
-    assert np.array_equal(table.indices, knn_bruteforce(cloud, 12).indices)
-
-
-@pytest.mark.parametrize("n,k,seed", [(64, 8, 0), (64, 32, 1), (200, 5, 2)])
-def test_kdtree_equals_bruteforce_on_random_clouds(n, k, seed):
-    rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.uniform(size=(n, 3)) * 4)
-    tree = kdtree_build(cloud)
-    assert np.array_equal(kdtree_knn(tree, cloud, k).indices, knn_bruteforce(cloud, k).indices)
-
-
 def test_ball_query_self_only_within_radius():
     cloud = PointCloud(np.array([[0.0, 0, 0], [5, 0, 0]]))
     table = ball_query(cloud, 2.0, 2)
@@ -167,16 +109,11 @@ def test_ball_query_never_exceeds_radius():
 def test_every_backend_returns_self_first_on_distinct_points():
     rng = np.random.default_rng(13)
     cloud = PointCloud(rng.normal(size=(30, 3)))
-    tree = kdtree_build(cloud)
-    for table in (
-        knn_bruteforce(cloud, 4),
-        kdtree_knn(tree, cloud, 4),
-        ball_query(cloud, 10.0, 4),
-    ):
+    for table in (knn_bruteforce(cloud, 4), ball_query(cloud, 10.0, 4)):
         assert np.array_equal(table.indices[:, 0], np.arange(30))
 
 
-@pytest.mark.parametrize("backend", ["brute", "kdtree", "ball"])
+@pytest.mark.parametrize("backend", ["brute", "ball"])
 def test_neighbor_tables_satisfy_invariants(backend):
     rng = np.random.default_rng(17)
     for trial in range(5):
@@ -185,8 +122,6 @@ def test_neighbor_tables_satisfy_invariants(backend):
         cloud = PointCloud(rng.normal(size=(n, 3)))
         if backend == "brute":
             table = knn_bruteforce(cloud, k)
-        elif backend == "kdtree":
-            table = kdtree_knn(kdtree_build(cloud, bucket_size=4), cloud, k)
         else:
             table = ball_query(cloud, float(rng.uniform(0.1, 3.0)), k)
         table.validate(n)
