@@ -1,6 +1,7 @@
 """Minimal dense reverse-mode differentiation over numpy arrays.
 
-Provides exactly the operations the sampler and its losses need. Graphs are
+Provides the operations the sampler and its losses need, plus softmax, the
+reference op for the gradient checks and the layer tape oracles. Graphs are
 implicit: each Tensor records its parents and a backward rule; backward()
 topologically sorts from the root and accumulates gradients additively, so
 fan-out is handled by summation. Tensors created from ops whose inputs do not
@@ -52,19 +53,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar used throughout the network code
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

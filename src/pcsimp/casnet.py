@@ -73,10 +73,6 @@ class CasNetWeights:
         out += [self.rho_hidden[0], self.rho_hidden[1], self.rho_out]
         return out
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
-
     def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         out = {}
         for i, (w, b) in enumerate(self.sigma):
@@ -116,45 +112,27 @@ class CasNetWeights:
                 raise ShapeMismatchError(f"{prefix}{name} has shape {arrays[prefix + name].shape}, expected {shape}")
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "", requires_grad: bool = False) -> "CasNetWeights":
-        """Weights from named arrays; raises ShapeMismatchError when their
-        shapes do not fit one architecture."""
+    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "") -> "CasNetWeights":
+        """Constant weights from named arrays; raises ShapeMismatchError when
+        their shapes do not fit one architecture."""
         sigma = []
         i = 0
         while f"{prefix}sigma.{i}.w" in arrays:
-            sigma.append(
-                (
-                    Tensor(arrays[f"{prefix}sigma.{i}.w"], requires_grad),
-                    Tensor(arrays[f"{prefix}sigma.{i}.b"], requires_grad),
-                )
-            )
+            sigma.append((Tensor(arrays[f"{prefix}sigma.{i}.w"]), Tensor(arrays[f"{prefix}sigma.{i}.b"])))
             i += 1
         layers = []
         i = 0
         while f"{prefix}oa.{i}.wq" in arrays:
-            layers.append(
-                OaLayerWeights(*(Tensor(arrays[f"{prefix}oa.{i}.{nm}"], requires_grad) for nm in ("wq", "wk", "wv", "wg", "bg")))
-            )
+            layers.append(OaLayerWeights(*(Tensor(arrays[f"{prefix}oa.{i}.{nm}"]) for nm in ("wq", "wk", "wv", "wg", "bg"))))
             i += 1
         weights = cls(
             sigma=sigma,
             layers=layers,
-            rho_hidden=(
-                Tensor(arrays[f"{prefix}rho.hidden.w"], requires_grad),
-                Tensor(arrays[f"{prefix}rho.hidden.b"], requires_grad),
-            ),
-            rho_out=Tensor(arrays[f"{prefix}rho.out.w"], requires_grad),
+            rho_hidden=(Tensor(arrays[f"{prefix}rho.hidden.w"]), Tensor(arrays[f"{prefix}rho.hidden.b"])),
+            rho_out=Tensor(arrays[f"{prefix}rho.out.w"]),
         )
         weights._check_shapes(prefix)
         return weights
-
-
-def parameter_count(k: int, c: int, oa_layers: int, m: int, embed_hidden: int = 64, score_hidden: int = 256) -> int:
-    """Total trainable scalars; depends only on the architecture sizes."""
-    sigma = 6 * embed_hidden + embed_hidden + embed_hidden * c + c
-    per_layer = 3 * c * c + c * c + c
-    rho = oa_layers * c * score_hidden + score_hidden + score_hidden * m
-    return sigma + oa_layers * per_layer + rho
 
 
 def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | None = None) -> CasNetWeights:
@@ -190,15 +168,10 @@ def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | Non
 class ForwardCache:
     """Every intermediate of one forward pass, kept for the backward.
 
-    At k=1 no search runs and `neighbors` lists each point as its own only
-    neighbor; a search would list the lowest-index exact duplicate instead,
-    which gives the same zero offset. `rows` lists the input row each output
-    point of a hard (AHSN) sample copies; it is None for a soft (ASSN) one.
+    `rows` lists the input row each output point of a hard (AHSN) sample
+    copies; it is None for a soft (ASSN) one.
     """
 
-    neighbors: NeighborTable
-    f_group: np.ndarray
-    f_combine: np.ndarray
     f_pointwise: Tensor
     f_oa: list[Tensor]
     f_concat: Tensor
@@ -438,9 +411,8 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
     config.validate(cloud.n)
     dtype = weights.sigma[0][0].data.dtype
     if config.k == 1:
-        # the one slot holds the point itself or an exact duplicate, so its
-        # offset is zero whatever the table holds: no search is needed
-        neighbors = NeighborTable(np.arange(cloud.n).reshape(cloud.n, 1))
+        # the one slot holds a point at distance zero, the point itself or an
+        # exact duplicate, so its offset is zero: no search is needed
         f_group = np.zeros((cloud.n, 1, 3), dtype=dtype)
     else:
         # looked up in this module at call time, so a wrapper set here sees every search
@@ -449,12 +421,12 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
     f_pointwise = embed(f_combine, weights)
     f_concat, f_oa = asm(f_pointwise, weights, config.oa_layers)
-    return neighbors, f_group, f_combine, f_pointwise, f_oa, f_concat
+    return f_pointwise, f_oa, f_concat
 
 
 def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, ForwardCache]:
     """Graph-building forward pass; the cache retains every intermediate."""
-    neighbors, f_group, f_combine, f_pointwise, f_oa, f_concat = _encode(cloud, config, weights)
+    f_pointwise, f_oa, f_concat = _encode(cloud, config, weights)
     s_tilde, rows = soft_matrix(f_concat, weights, config.output_count(cloud.n))
 
     p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
@@ -466,9 +438,6 @@ def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
         rows = None
         out_cloud = PointCloud(p_sp.data)
     cache = ForwardCache(
-        neighbors=neighbors,
-        f_group=f_group,
-        f_combine=f_combine,
         f_pointwise=f_pointwise,
         f_oa=f_oa,
         f_concat=f_concat,

@@ -86,11 +86,11 @@ def _config_from_args(args) -> CasNetConfig:
     return cfg
 
 
-def _load_sampler_weights(path: str, requires_grad: bool = False) -> casnet.CasNetWeights:
+def _load_sampler_weights(path: str) -> casnet.CasNetWeights:
     arrays = ad.load_arrays(path)
     prefix = "sampler." if any(k.startswith("sampler.") for k in arrays) else ""
     try:
-        weights = casnet.CasNetWeights.from_arrays(arrays, prefix=prefix, requires_grad=requires_grad)
+        weights = casnet.CasNetWeights.from_arrays(arrays, prefix=prefix)
     except KeyError as e:
         raise PcsimpError(f"{path}: incomplete sampler weights ({e})") from e
     except ShapeMismatchError as e:
@@ -151,7 +151,7 @@ def cmd_sample(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"t_sample_s={elapsed:.6f}")
 
-    write_cloud(args.output, sampled, None)
+    write_cloud(args.output, sampled)
     if args.method == "casnet" and config.mode == "ahsn":
         written = read_cloud(args.output)
         input_rows = {row.tobytes() for row in cloud.points.astype(np.float32)}
@@ -314,7 +314,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch,
     )
     arrays = weights.to_arrays(prefix="sampler.")
-    arrays.update(head.to_arrays(prefix="head."))
+    arrays.update(head.to_arrays())
     ad.save_arrays(args.out, arrays)
     history_path = args.history or (args.out + ".history.csv")
     Path(history_path).write_text(history.to_csv())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -158,19 +158,6 @@ class NeighborTable:
     @property
     def k(self) -> int:
         return self.indices.shape[1]
-
-    def validate(self, n_source: int) -> None:
-        idx = self.indices
-        real = idx != SENTINEL
-        if idx[real].size and (idx[real].min() < 0 or idx[real].max() >= n_source):
-            raise IndexOutOfRangeError("neighbor index outside source cloud")
-        # sentinels must form a suffix of each row
-        if np.any(real[:, 1:] & ~real[:, :-1]):
-            raise PcsimpError("sentinel entries precede real entries")
-        for row in idx:
-            r = row[row != SENTINEL]
-            if len(np.unique(r)) != len(r):
-                raise PcsimpError("duplicate neighbor indices within a row")
 
 
 @dataclass

@@ -103,9 +103,8 @@ def read_cloud(path: str | Path, fmt: str | None = None) -> PointCloud:
     return read_kitti_bin(path) if fmt == "bin" else read_xyz(path)
 
 
-def write_cloud(path: str | Path, cloud: PointCloud, fmt: str | None = None) -> None:
-    fmt = fmt or ("bin" if str(path).endswith(".bin") else "xyz")
-    if fmt == "bin":
+def write_cloud(path: str | Path, cloud: PointCloud) -> None:
+    if str(path).endswith(".bin"):
         write_kitti_bin(path, cloud)
     else:
         write_xyz(path, cloud)

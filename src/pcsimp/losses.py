@@ -79,8 +79,6 @@ class LossBreakdown:
     task: Tensor
     subset: Tensor
     cosine: Tensor
-    alpha: float
-    beta: float
 
     def values(self) -> tuple[float, float, float, float]:
         return (self.total.item(), self.task.item(), self.subset.item(), self.cosine.item())
@@ -88,4 +86,4 @@ class LossBreakdown:
 
 def total_loss(task: Tensor, subset: Tensor, cosine: Tensor, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdown:
     total = ad.add(task, ad.add(ad.scale(subset, alpha), ad.scale(cosine, beta)))
-    return LossBreakdown(total=total, task=task, subset=subset, cosine=cosine, alpha=alpha, beta=beta)
+    return LossBreakdown(total=total, task=task, subset=subset, cosine=cosine)

@@ -23,39 +23,16 @@ from .core import (
 _BATCH = 1 << 15
 
 
-def _self_duplicate_indices(pts: np.ndarray) -> np.ndarray:
-    """For each row, the lowest index among rows with identical coordinates.
-
-    With k=1 the nearest neighbor (self at distance zero, lower-index
-    tie-break) is exactly this, so the search can be skipped entirely.
-    """
-    n = pts.shape[0]
-    pts = pts + 0.0  # fold -0.0 into +0.0 so bitwise row grouping matches distance-0 ties
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    first = np.full(len(uniq), n, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(n, dtype=np.int64))
-    return first[inverse]
-
-
 def _block_rows(n: int, width: int) -> int:
     # keep each distance block around 32 MB
     return max(1, min(n, (1 << 22) // max(width, 1)))
 
 
-def _k1_table(pts: np.ndarray, k: int) -> NeighborTable | None:
-    """Check k against the cloud size; for k=1 return the finished table.
-
-    Self (or a lower-index exact duplicate) is the nearest neighbor and lies
-    within any radius, so both searches share this shortcut.
-    """
-    n = pts.shape[0]
+def _check_k(n: int, k: int) -> None:
     if k > n:
         raise KTooLargeError(f"k={k} exceeds cloud size {n}")
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if k == 1:
-        return NeighborTable(_self_duplicate_indices(pts).reshape(n, 1))
-    return None
 
 
 def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int, out: np.ndarray) -> None:
@@ -98,10 +75,8 @@ def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int,
 def knn_bruteforce(cloud: PointCloud, k: int) -> NeighborTable:
     """Exact k nearest neighbors, every point a candidate of every row."""
     pts = cloud.points
-    table = _k1_table(pts, k)
-    if table is not None:
-        return table
     n = pts.shape[0]
+    _check_k(n, k)
     out = np.empty((n, k), dtype=np.int64)
     everyone = np.arange(n)
     step = _block_rows(n, n)
@@ -121,10 +96,8 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     if radius <= 0:
         raise ConfigError("radius must be > 0")
     pts = cloud.points
-    table = _k1_table(pts, k)
-    if table is not None:
-        return table
     n = pts.shape[0]
+    _check_k(n, k)
     r2 = np.asarray(radius, dtype=pts.dtype) ** 2
     out = np.empty((n, k), dtype=np.int64)
 

@@ -17,7 +17,13 @@ from .losses import cosine_loss, subset_loss, total_loss
 CLASS_NAMES = ("sphere", "cube", "plane")
 # test clouds per checked epoch whose hard samples are checked to be exact input rows
 SUBSET_CHECKS = 4
+# every this many epochs (and at the last) those test samples are checked
+SUBSET_CHECK_EVERY = 10
 TRAIN_DTYPE = np.float32
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+# noise scale of the synthetic shapes (the plane's height noise is 3x this)
+JITTER = 0.02
 
 
 class AdamState:
@@ -29,16 +35,9 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: list[Tensor],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
     """Standard Adam update with bias correction; updates params in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
@@ -49,7 +48,7 @@ def adam_step(
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * (g * g)
-        p.data -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+        p.data -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 @dataclass
@@ -70,10 +69,6 @@ class ToyTaskHead:
         out += list(self.classifier)
         return out
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
-
     def forward(self, points: Tensor) -> Tensor:
         h = points
         for w, b in self.mlp:
@@ -86,23 +81,24 @@ class ToyTaskHead:
         logits = self.forward(Tensor(points.astype(self.classifier[0].data.dtype, copy=False)))
         return int(logits.data.argmax())
 
-    def to_arrays(self, prefix: str = "head.") -> dict[str, np.ndarray]:
+    def to_arrays(self) -> dict[str, np.ndarray]:
         out = {}
         for i, (w, b) in enumerate(self.mlp):
-            out[f"{prefix}mlp.{i}.w"] = w.data
-            out[f"{prefix}mlp.{i}.b"] = b.data
-        out[f"{prefix}cls.w"] = self.classifier[0].data
-        out[f"{prefix}cls.b"] = self.classifier[1].data
+            out[f"head.mlp.{i}.w"] = w.data
+            out[f"head.mlp.{i}.b"] = b.data
+        out["head.cls.w"] = self.classifier[0].data
+        out["head.cls.b"] = self.classifier[1].data
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "head.", requires_grad: bool = False) -> "ToyTaskHead":
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ToyTaskHead":
+        """A constant head from the arrays to_arrays names."""
         mlp = []
         i = 0
-        while f"{prefix}mlp.{i}.w" in arrays:
-            mlp.append((Tensor(arrays[f"{prefix}mlp.{i}.w"], requires_grad), Tensor(arrays[f"{prefix}mlp.{i}.b"], requires_grad)))
+        while f"head.mlp.{i}.w" in arrays:
+            mlp.append((Tensor(arrays[f"head.mlp.{i}.w"]), Tensor(arrays[f"head.mlp.{i}.b"])))
             i += 1
-        return cls(mlp=mlp, classifier=(Tensor(arrays[f"{prefix}cls.w"], requires_grad), Tensor(arrays[f"{prefix}cls.b"], requires_grad)))
+        return cls(mlp=mlp, classifier=(Tensor(arrays["head.cls.w"]), Tensor(arrays["head.cls.b"])))
 
 
 def init_head(n_classes: int, hidden: int = 32, dtype=np.float64, seed: int = 0) -> ToyTaskHead:
@@ -130,7 +126,6 @@ class DatasetSpec:
     test_per_class: int = 30
     points_per_cloud: int = 256
     seed: int = 0
-    jitter: float = 0.02
 
 
 @dataclass
@@ -145,28 +140,26 @@ class SyntheticDataset:
         return len(self.class_names)
 
 
-def _make_shape(name: str, n: int, rng: np.random.Generator, jitter: float) -> np.ndarray:
+def _make_shape(name: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if name == "sphere":
         d = rng.normal(size=(n, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
-        return d * (1.0 + rng.normal(scale=jitter, size=(n, 1)))
+        return d * (1.0 + rng.normal(scale=JITTER, size=(n, 1)))
     if name == "cube":
         face = rng.integers(0, 6, size=n)
         uv = rng.uniform(-1, 1, size=(n, 2))
-        pts = np.empty((n, 3))
         axis = face % 3
-        sign = np.where(face < 3, 1.0, -1.0)
-        for i in range(n):
-            a = axis[i]
-            others = [j for j in range(3) if j != a]
-            pts[i, a] = sign[i]
-            pts[i, others[0]] = uv[i, 0]
-            pts[i, others[1]] = uv[i, 1]
-        return pts + rng.normal(scale=jitter, size=(n, 3))
+        rows = np.arange(n)
+        pts = np.empty((n, 3))
+        pts[rows, axis] = np.where(face < 3, 1.0, -1.0)
+        # uv fills the two other axes in ascending order
+        pts[rows, np.where(axis == 0, 1, 0)] = uv[:, 0]
+        pts[rows, np.where(axis == 2, 1, 2)] = uv[:, 1]
+        return pts + rng.normal(scale=JITTER, size=(n, 3))
     if name == "plane":
         pts = np.zeros((n, 3))
         pts[:, :2] = rng.uniform(-1, 1, size=(n, 2))
-        pts[:, 2] = rng.normal(scale=3 * jitter, size=n)
+        pts[:, 2] = rng.normal(scale=3 * JITTER, size=n)
         return pts
     raise ValueError(f"unknown shape {name!r}")
 
@@ -179,7 +172,7 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
     for label, name in enumerate(CLASS_NAMES):
         for bucket, count in ((train, spec.train_per_class), (test, spec.test_per_class)):
             for _ in range(count):
-                pts = _make_shape(name, spec.points_per_cloud, rng, spec.jitter)
+                pts = _make_shape(name, spec.points_per_cloud, rng)
                 bucket.append(LabeledCloud(PointCloud(pts), label))
     order = rng.permutation(len(train))
     train = [train[i] for i in order]
@@ -231,7 +224,6 @@ def train(
     lr: float = 5e-4,
     batch_size: int = 12,
     early_stop_acc: float | None = None,
-    subset_check_every: int = 10,
 ) -> tuple[casnet.CasNetWeights, ToyTaskHead, TrainHistory]:
     """Jointly optimize sampler and head against the composite loss.
 
@@ -296,7 +288,7 @@ def train(
 
         # running train accuracy from the batch forwards; test via fresh inference
         train_acc = train_hits / len(train_split)
-        check = config.mode == "ahsn" and (epoch % subset_check_every == 0 or epoch == epochs - 1)
+        check = config.mode == "ahsn" and (epoch % SUBSET_CHECK_EVERY == 0 or epoch == epochs - 1)
         test_acc = _split_accuracy(test_split, config, weights, head, SUBSET_CHECKS if check else 0)
         avg = sums / n_batches
         history.epochs.append(
@@ -343,17 +335,3 @@ def classification_metrics(y_true: np.ndarray, y_pred: np.ndarray, n_classes: in
         recalls.append(rec)
         f1s.append(f1)
     return acc, float(np.mean(precisions)), float(np.mean(recalls)), float(np.mean(f1s))
-
-
-def evaluate(
-    weights: casnet.CasNetWeights,
-    head: ToyTaskHead,
-    split: list[LabeledCloud],
-    config: CasNetConfig,
-) -> tuple[float, float, float, float]:
-    """Run the sampler + head over a split and report Acc/Prec/Rec/F1."""
-    if not split:
-        raise EmptySplitError("cannot evaluate an empty split")
-    y_true = np.array([it.label for it in split])
-    y_pred = np.array([head.predict(casnet.sample(it.cloud, config, weights)[0].points) for it in split])
-    return classification_metrics(y_true, y_pred, head.n_classes)

@@ -6,7 +6,6 @@ from pcsimp.core import (
     ConfigError,
     EmptyCloudError,
     InvalidRatioError,
-    NeighborTable,
     NonFiniteCoordinateError,
     PcsimpError,
     PointCloud,
@@ -49,16 +48,6 @@ def test_ratio_to_count_rejects_bad_ratio():
         ratio_to_count(1024, 0)
     with pytest.raises(InvalidRatioError):
         ratio_to_count(4, 5)
-
-
-def test_neighbor_table_validation():
-    NeighborTable(np.array([[0, 1], [1, -1]])).validate(2)
-    with pytest.raises(PcsimpError):
-        NeighborTable(np.array([[0, 2]])).validate(2)  # index out of range
-    with pytest.raises(PcsimpError):
-        NeighborTable(np.array([[-1, 0]])).validate(2)  # sentinel before real
-    with pytest.raises(PcsimpError):
-        NeighborTable(np.array([[1, 1]])).validate(2)  # duplicate
 
 
 def test_config_defaults_follow_reference_setup():
