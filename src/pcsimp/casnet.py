@@ -213,11 +213,14 @@ def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
 
     One node, computed in blocks of max(1, EMBED_BLOCK_SLOTS // k) points so
     that a block's per-slot arrays stay in cache; each block max-pools
-    straight into the output. With a gradient to keep, the forward also
-    records each (point, channel)'s winning slot (ties to the lowest slot),
-    and nothing else. The backward puts each pooled gradient into that slot
-    and runs the MLP backward block by block over the slots that won at least
-    one channel, recomputing their hidden activations.
+    straight into the output. The second layer's bias is added once, to the
+    pooled output: rounding x + b is monotone in x, so the maximum of the
+    biased slots is the biased maximum, bit for bit. With a gradient to keep,
+    the forward also records each (point, channel)'s winning slot, the lowest
+    slot holding the unbiased maximum, and nothing else. The backward puts
+    each pooled gradient into that slot and runs the MLP backward block by
+    block over the slots that won at least one channel, recomputing their
+    hidden activations.
     """
     n, k, width = combined.shape
     (w1, b1), (w2, b2) = weights.sigma
@@ -240,7 +243,6 @@ def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
         np.maximum(h, 0, out=h)
         s = per_slot[: len(x)]
         np.matmul(h, w2.data, out=s)
-        s += b2.data
         s = s.reshape(hi - lo, k, c)
         s.max(axis=1, out=out[lo:hi])
         if keep:
@@ -249,6 +251,7 @@ def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
             # point and channel. A NaN matches no slot and takes slot k - 1.
             top = ((s == out[lo:hi, None, :]) * countdown).max(axis=1)
             winner[lo:hi] = k - np.maximum(top, 1)
+    out += b2.data
     if not keep:
         return Tensor(out)
 
@@ -258,12 +261,15 @@ def embed(combined: np.ndarray, weights: CasNetWeights) -> Tensor:
         channels = np.arange(c)
         for lo, hi in blocks:
             # only slot rows that won some channel carry a gradient; the
-            # products run over those rows alone
-            won = (np.arange(lo, hi) * k)[:, None] + winner[lo:hi]
-            used, at = np.unique(won, return_inverse=True)
+            # products run over those rows alone, in ascending order
+            won = (np.arange(hi - lo) * k)[:, None] + winner[lo:hi]
+            marked = np.zeros((hi - lo) * k, dtype=bool)
+            marked[won] = True
+            used = np.flatnonzero(marked)
+            at = np.cumsum(marked) - 1  # a marked slot's row in used
             g_slot = np.zeros((len(used), c), dtype=g.dtype)
-            g_slot[at.reshape(won.shape), channels] = g[lo:hi]
-            x = slots[used]
+            g_slot[at[won], channels] = g[lo:hi]
+            x = slots[lo * k + used]
             h = _affine_relu(x, w1, b1)
             g_h = g_slot @ w2.data.T
             g_h *= h > 0
@@ -289,7 +295,8 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
     One node. Scores are computed in row blocks, each block's softmax
     normalization folded into its small output. Without a gradient to keep,
     the blocks share one buffer and no n-by-n matrix exists; with one, they
-    fill the n-by-n matrix of exponentials the backward needs. Both ways give
+    fill the n-by-n matrix of probabilities the backward needs, each block's
+    exponentials divided by their row sums after its product. Both ways give
     the same values. The max-shifted scores are clamped at the log of the
     dtype's normal floor before exp, so no exponential is subnormal (in
     float64 the clamp, at -354, does not act in practice). V carries a column
@@ -319,6 +326,8 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
         np.maximum(e, low, out=e)
         np.exp(e, out=e)
         np.matmul(e, v_ones, out=weighted[lo:hi])
+        if keep:
+            e /= weighted[lo:hi, c:]
     sums = weighted[:, c:]
     f_sa = weighted[:, :c] / sums
     diff = f - f_sa
@@ -328,12 +337,15 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
         return Tensor(out)
 
     def vjp(g):
-        probs = expo / sums
+        probs = expo
         g_pre = g * (gamma > 0)
         g_diff = g_pre @ lay.wg.data.T
-        g_probs = g_diff @ v.T  # the gradient of P, negated: F_sa enters as -F_sa
-        # row-softmax backward; the row sums of g_probs * P are g_diff . F_sa per row
-        g_scores = probs * ((g_diff * f_sa).sum(axis=1, keepdims=True) - g_probs)
+        # the gradient of P, negated (F_sa enters as -F_sa), then the
+        # row-softmax backward in place: the row sums of that gradient times P
+        # are g_diff . F_sa per row
+        g_scores = g_diff @ v.T
+        np.subtract((g_diff * f_sa).sum(axis=1, keepdims=True), g_scores, out=g_scores)
+        g_scores *= probs
         g_q = g_scores @ kt.T
         g_q *= inv_sqrt_dk
         g_k = g_scores.T @ q

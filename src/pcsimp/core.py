@@ -151,14 +151,6 @@ class NeighborTable:
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def n(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
 
 @dataclass
 class CasNetConfig:

@@ -84,6 +84,6 @@ class LossBreakdown:
         return (self.total.item(), self.task.item(), self.subset.item(), self.cosine.item())
 
 
-def total_loss(task: Tensor, subset: Tensor, cosine: Tensor, alpha: float = 1.0, beta: float = 1.0) -> LossBreakdown:
+def total_loss(task: Tensor, subset: Tensor, cosine: Tensor, alpha: float, beta: float) -> LossBreakdown:
     total = ad.add(task, ad.add(ad.scale(subset, alpha), ad.scale(cosine, beta)))
     return LossBreakdown(total=total, task=task, subset=subset, cosine=cosine)

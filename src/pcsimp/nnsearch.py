@@ -43,33 +43,52 @@ def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int,
     slots past the number of candidates within r2 hold SENTINEL.
     """
     # one coordinate at a time, ((dx*dx + dy*dy) + dz*dz) in the cloud's dtype:
-    # the same roundings, in the same order, as (diff * diff).sum(axis=-1)
-    d = np.square(pts[rows, 0][:, None] - pts[cand, 0][None, :])
+    # the same roundings, in the same order, as (diff * diff).sum(axis=-1);
+    # `spare` is the one other (rows x cand) array, later holding the partition
+    here, there = pts[rows].T[:, :, None], np.ascontiguousarray(pts[cand].T)
+    d = np.subtract(here[0], there[0])
+    d *= d
+    spare = np.empty_like(d)
     for axis in (1, 2):
-        diff = pts[rows, axis][:, None] - pts[cand, axis][None, :]
-        diff *= diff
-        d += diff
+        np.subtract(here[axis], there[axis], out=spare)
+        spare *= spare
+        d += spare
     # Entries beyond r2 rank after every entry within it, so they need no
     # masking here: they fill a row's prefix only past its in-radius count.
     kept = min(k, cand.size)
-    kth = np.partition(d, kept - 1, axis=1)[:, kept - 1 : kept]
+    np.copyto(spare, d)
+    spare.partition(kept - 1, axis=1)
+    kth = spare[:, kept - 1 : kept]
     keep = d <= kth
-    # A row with more than `kept` such entries ties at its kept-th value; there
-    # the lowest-index tied entries fill the room left by those below it.
-    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kept)
-    if over.size:
+    flat = np.flatnonzero(keep)
+    if flat.size > len(rows) * kept:
+        # A row with more than `kept` such entries ties at its kept-th value;
+        # there the lowest-index tied entries fill the room left by those below it.
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > kept)
         d_over, kth_over = d[over], kth[over]
         below = d_over < kth_over
         tied = d_over == kth_over
         room = kept - np.count_nonzero(below, axis=1)[:, None]
         keep[over] = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = np.nonzero(keep)[1].reshape(len(rows), kept)
-    d_kept = np.take_along_axis(d, cols, axis=1)
+        flat = np.flatnonzero(keep)
+    # flat positions in d, `kept` per row, in ascending column order
+    flat = flat.reshape(len(rows), kept)
+    d_kept = d.ravel()[flat]
     order = np.argsort(d_kept, axis=1, kind="stable")
-    ranked = cand[np.take_along_axis(cols, order, axis=1)]
+    flat = np.take_along_axis(flat, order, axis=1)
+    ranked = cand[flat - (np.arange(len(rows)) * cand.size)[:, None]]  # position less row start: the column
     ranked[np.take_along_axis(d_kept, order, axis=1) > r2] = SENTINEL
     out[rows, :kept] = ranked
     out[rows, kept:] = SENTINEL
+
+
+def _rank_everyone(pts: np.ndarray, r2, k: int, out: np.ndarray) -> None:
+    """Rank every row against the whole cloud, in blocks of rows."""
+    n = pts.shape[0]
+    everyone = np.arange(n)
+    step = _block_rows(n, n)
+    for lo in range(0, n, step):
+        _rank_block(pts, everyone[lo : lo + step], everyone, r2, k, out)
 
 
 def knn_bruteforce(cloud: PointCloud, k: int) -> NeighborTable:
@@ -78,10 +97,7 @@ def knn_bruteforce(cloud: PointCloud, k: int) -> NeighborTable:
     n = pts.shape[0]
     _check_k(n, k)
     out = np.empty((n, k), dtype=np.int64)
-    everyone = np.arange(n)
-    step = _block_rows(n, n)
-    for lo in range(0, n, step):
-        _rank_block(pts, np.arange(lo, min(lo + step, n)), everyone, np.inf, k, out)
+    _rank_everyone(pts, np.inf, k, out)
     return NeighborTable(out)
 
 
@@ -90,7 +106,9 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
 
     Points are bucketed into a uniform grid whose cell edge is at least the
     radius, so every neighbor of a point lies in the 27 cells around its own.
-    The queries of a run of consecutive cells share the union of those lists as
+    A cloud at most two cells wide on every axis, where those 27 cells hold
+    every point, is ranked whole, as brute force does. Otherwise the queries
+    of a run of consecutive cells share the union of those lists as
     candidates, and the result is index-identical to ranking the whole cloud.
     """
     if radius <= 0:
@@ -107,7 +125,13 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     lo = pts.min(axis=0).astype(np.float64)
     span = pts.max(axis=0).astype(np.float64) - lo
     edge = max(float(radius) * (1 + 1e-4), float(span.max()) / 2**20)
-    cell = np.floor((pts - lo) / edge).astype(np.int64) + 1  # +1 leaves room for the -1 neighbor
+    cell = np.floor((pts - lo) / edge).astype(np.int64)
+    if cell.max() <= 1:
+        # at most two cells a side: every point's 27 cells hold the whole
+        # cloud, so the grid would prune nothing
+        _rank_everyone(pts, r2, k, out)
+        return NeighborTable(out)
+    cell += 1  # room for the -1 neighbor
     dims = cell.max(axis=0) + 2
     strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
     keys = cell @ strides

@@ -166,6 +166,56 @@ def test_embed_tied_maximum_in_the_last_block_sends_the_gradient_to_the_lowest_s
     assert np.linalg.norm(g_w2[:, 0] - swapped) > 0.5
 
 
+def _slot_winners(combined, weights):
+    """Each (point, channel)'s winning slot, by a plain argmax over the per-slot outputs."""
+    (w1, b1), (w2, b2) = weights.sigma
+    n, k, width = combined.shape
+    h = np.maximum(combined.reshape(n * k, width) @ w1.data + b1.data, 0)
+    return (h @ w2.data + b2.data).reshape(n, k, -1).argmax(axis=1)
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["one-slot-wins-all", "all-slots-win"])
+def test_embed_backward_with_one_winning_slot_or_every_slot_winning(spread):
+    # two blocks of k=32 slots, the second partial, at the two extremes of the
+    # slot rows the backward keeps: one per point, or all 32 of every point
+    k, c = 32, 64
+    n = casnet.EMBED_BLOCK_SLOTS // k + 5
+    rng = np.random.default_rng(14)
+    if spread:
+        # channel ch is the tent relu(t - a + 1) - 2 relu(t - a) + relu(t - a - 1)
+        # with a = ch % 32, which is 1 at t = a and 0 at every other integer;
+        # slot j carries t = j, so slot ch % 32 wins channel ch
+        weights = casnet.init_weights(config_of(k=k, c=c, embed_hidden=3 * c), 5)
+        (w1, b1), (w2, b2) = weights.sigma
+        a = np.arange(c) % k
+        w1.data[...] = 0.0
+        w1.data[3] = 1.0
+        w2.data[...] = 0.0
+        for unit, (shift, weight) in enumerate([(1, 1.0), (0, -2.0), (-1, 1.0)]):
+            b1.data[unit::3] = shift - a
+            w2.data[np.arange(unit, 3 * c, 3), np.arange(c)] = weight
+        b2.data[...] = rng.normal(size=c)
+        combined = rng.normal(size=(n, k, 6))
+        combined[:, :, 3] = np.arange(k)
+        want_winner = np.broadcast_to(a, (n, c))
+    else:
+        # positive weights make every channel increase with every input, and
+        # point i's slot i % 32 holds the largest inputs
+        weights = unit_weights(config_of(k=k, c=c, embed_hidden=16), 5, seed=15)
+        for pair in weights.sigma:
+            for p in pair:
+                p.data[...] = np.abs(p.data) + 0.1
+        combined = rng.uniform(size=(n, k, 6))
+        combined[np.arange(n), np.arange(n) % k] += 2.0
+        want_winner = np.broadcast_to((np.arange(n) % k)[:, None], (n, c))
+    assert np.array_equal(_slot_winners(combined, weights), want_winner)
+    params = [p for pair in weights.sigma for p in pair]
+    got, want = casnet.embed(combined, weights), tape_embed(combined, weights)
+    assert np.array_equal(got.data, want.data)
+    upstream = rng.normal(size=got.data.shape)
+    assert_close(grads(got, params, upstream), grads(want, params, upstream))
+
+
 @pytest.mark.parametrize("n", [1, 7, casnet.ATTENTION_BLOCK_ROWS + 44])
 def test_offset_attention_matches_tape(n):
     lay = unit_weights(config_of(), 5).layers[0]
@@ -226,7 +276,7 @@ def test_network_gradients_match_tape(mode, k, oa_layers, radius):
     params = weights.parameters()
 
     def loss(p_sp, soft):
-        return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(soft, "columns")).total
+        return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(soft, "columns"), 1.0, 1.0).total
 
     _, cache = casnet.forward(cloud, config, weights)
     p_sp, soft = tape_forward(cloud, config, weights)

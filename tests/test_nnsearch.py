@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcsimp import nnsearch
+from pcsimp import nnsearch, training
 from pcsimp.core import ConfigError, KTooLargeError, PointCloud
 from pcsimp.nnsearch import (
     ball_query,
@@ -281,3 +281,45 @@ def test_one_block_with_rows_tied_at_the_kth_distance_and_rows_not(dtype):
     expected = _full_sort_rows(pts, np.arange(len(pts)), np.inf, k)
     assert np.array_equal(knn_bruteforce(PointCloud(pts), k).indices, expected)
     assert np.array_equal(ball_query(PointCloud(pts), 1e6, k).indices, expected)
+
+
+@pytest.fixture
+def ranked_blocks(monkeypatch):
+    """The (rows, candidates) sizes of every ranking-kernel call."""
+    calls = []
+    rank = nnsearch._rank_block
+
+    def recording(pts, rows, cand, r2, k, out):
+        calls.append((len(rows), len(cand)))
+        rank(pts, rows, cand, r2, k, out)
+
+    monkeypatch.setattr(nnsearch, "_rank_block", recording)
+    return calls
+
+
+def test_ball_query_ranks_a_cloud_two_cells_wide_in_one_call(ranked_blocks):
+    # the synthetic clouds span about 2.08 against a cell edge of 2.0002: at
+    # most two cells a side, so every point's 27 cells hold the whole cloud
+    dataset = training.generate_dataset(training.DatasetSpec(10, 5, 256, seed=0))
+    clouds = [it.cloud.points.astype(np.float32) for it in dataset.train + dataset.test]
+    for i, pts in enumerate(clouds):
+        ranked_blocks.clear()
+        table = ball_query(PointCloud(pts), 2.0, 32).indices
+        assert ranked_blocks == [(256, 256)]
+        if i % 15 == 0:  # one cloud per class against the slow oracle
+            assert np.array_equal(table, ball_oracle(pts, 2.0, 32))
+    # duplicates and exact distance ties: every coordinate on a 0.25 lattice,
+    # which float32 and the oracle's float64 both hold exactly
+    pts = np.round(clouds[0] * 4) / 4
+    assert len(np.unique(pts, axis=0)) < len(pts)
+    ranked_blocks.clear()
+    table = ball_query(PointCloud(pts), 2.0, 32).indices
+    assert ranked_blocks == [(256, 256)]
+    assert np.array_equal(table, ball_oracle(pts, 2.0, 32))
+
+
+def test_ball_query_on_a_cloud_three_cells_wide_takes_the_grid(ranked_blocks):
+    pts = training.generate_dataset(training.DatasetSpec(1, 1, 256, seed=0)).train[0].cloud.points.astype(np.float32) * 3
+    table = ball_query(PointCloud(pts), 2.0, 32).indices
+    assert min(cand for _, cand in ranked_blocks) < len(pts)
+    assert np.array_equal(table, ball_oracle(pts, 2.0, 32))
