@@ -2,7 +2,8 @@
 
 Provides the operations the sampler and its losses need, plus softmax, the
 reference op for the gradient checks and the layer tape oracles. Graphs are
-implicit: each Tensor records its parents and a backward rule; backward()
+implicit: every op, here and in the sampler's layers, is one `custom` node, its
+forward array plus a vjp that returns one gradient per parent. backward()
 topologically sorts from the root and accumulates gradients additively, so
 fan-out is handled by summation. Tensors created from ops whose inputs do not
 require gradients carry no parents, which keeps inference passes free of graph
@@ -57,32 +58,29 @@ class Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        # copy: g may be shared with another consumer's accumulation
+        # copy: g may be the node's own gradient passed through, or a view of it
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    return out
-
-
 def custom(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
-    """A node whose backward is written by hand: vjp(g) returns one gradient
-    per parent, in order. When no parent requires a gradient the node keeps
-    neither parents nor vjp, so nothing vjp refers to stays alive."""
+    """The one way to make a node: vjp(g) returns one gradient per parent, in
+    order, and each is accumulated into the parents that require one. When no
+    parent requires a gradient the node keeps neither parents nor vjp, so
+    nothing vjp refers to stays alive."""
+    out, parents = Tensor(data), tuple(parents)
+    if any(p.requires_grad for p in parents):
 
-    def bw(g):
-        for p, gp in zip(parents, vjp(g)):
-            if p.requires_grad:
-                _accumulate(p, gp)
+        def bw(g):
+            for p, gp in zip(parents, vjp(g)):
+                if p.requires_grad:
+                    _accumulate(p, gp)
 
-    return _make(data, parents, bw)
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = bw
+    return out
 
 
 def backward(root: Tensor) -> None:
@@ -114,14 +112,7 @@ def backward(root: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bw)
+    return custom(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -131,88 +122,41 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _make(a.data + b.data, (a, b), bw)
+    return custom(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _make(a.data - b.data, (a, b), bw)
+    return custom(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), bw)
+    return custom(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "div")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g / b.data)
-        if b.requires_grad:
-            _accumulate(b, -g * a.data / (b.data * b.data))
-
-    return _make(a.data / b.data, (a, b), bw)
+    return custom(a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * s)
-
-    return _make(a.data * s, (a,), bw)
+    return custom(a.data * s, (a,), lambda g: (g * s,))
 
 
 def add_rowvec(a: Tensor, b: Tensor) -> Tensor:
     """Add a length-d bias vector to every row of an (n, d) matrix."""
     if a.data.ndim != 2 or b.data.ndim != 1 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(f"add_rowvec {a.shape} + {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _make(a.data + b.data, (a, b), bw)
+    return custom(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
 
 
 def transpose(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.T)
-
-    return _make(a.data.T, (a,), bw)
+    return custom(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), bw)
+    return custom(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -220,84 +164,52 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     rows = {p.data.shape[0] for p in parts}
     if len(rows) != 1 or any(p.data.ndim != 2 for p in parts):
         raise ShapeMismatchError("concat_cols requires 2-d inputs with equal row counts")
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[:, lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    columns = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return custom(np.concatenate([p.data for p in parts], axis=1), parts, lambda g: [g[:, c] for c in columns])
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at 0 is 0
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * mask)
-
-    return _make(np.where(mask, a.data, 0), (a,), bw)
+    return custom(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)  # subgradient at 0 is 0
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * sign)
-
-    return _make(np.abs(a.data), (a,), bw)
+    return custom(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bw)
+    return custom(out_data, (a,), lambda g: (g * 0.5 / out_data,))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            if axis is None:
-                _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-            else:
-                _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) if not keepdims else g, a.data.shape).copy())
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return custom(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def max_over_axis(a: Tensor, axis: int) -> Tensor:
     """Max along one axis; ties route the gradient to the lowest index."""
-    arg = a.data.argmax(axis=axis)  # argmax takes the first occurrence
-    out_data = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
+    arg = np.expand_dims(a.data.argmax(axis=axis), axis)  # argmax takes the first occurrence
 
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
-            _accumulate(a, full)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.put_along_axis(full, arg, np.expand_dims(g, axis), axis=axis)
+        return (full,)
 
-    return _make(out_data, (a,), bw)
+    return custom(np.take_along_axis(a.data, arg, axis=axis).squeeze(axis), (a,), vjp)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     """Exp-normalize along `axis` with max-subtraction for stability."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
     out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accumulate(a, out_data * (g - inner))
-
-    return _make(out_data, (a,), bw)
+    return custom(out_data, (a,), lambda g: (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),))
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -306,13 +218,12 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatchError("gather_rows requires a 2-d tensor")
 
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accumulate(a, full)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
 
-    return _make(a.data[idx], (a,), bw)
+    return custom(a.data[idx], (a,), vjp)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -321,20 +232,19 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     b, n_classes = logits.data.shape
     if labels.min() < 0 or labels.max() >= n_classes:
         raise BadLabelError(f"labels must lie in [0, {n_classes})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
-    picked = logits.data[np.arange(b), labels]
-    loss = (lse - picked).mean()
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    top = logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logits.data - top)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + top[:, 0]
+    loss = (lse - logits.data[np.arange(b), labels]).mean()
+    probs = e / total
 
-    def bw(g):
-        if logits.requires_grad:
-            d = probs.copy()
-            d[np.arange(b), labels] -= 1.0
-            _accumulate(logits, d * (g / b))
+    def vjp(g):
+        d = probs.copy()
+        d[np.arange(b), labels] -= 1.0
+        return (d * (g / b),)
 
-    return _make(np.asarray(loss), (logits,), bw)
+    return custom(np.asarray(loss), (logits,), vjp)
 
 
 def ste_harden(soft: Tensor, rows: np.ndarray) -> Tensor:
@@ -347,12 +257,7 @@ def ste_harden(soft: Tensor, rows: np.ndarray) -> Tensor:
     n, m = soft.data.shape
     hard = np.zeros_like(soft.data)
     hard[rows, np.arange(m)] = 1.0
-
-    def bw(g):
-        if soft.requires_grad:
-            _accumulate(soft, g)
-
-    return _make(hard, (soft,), bw)
+    return custom(hard, (soft,), lambda g: (g,))
 
 
 def finite_diff_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor], eps: float = 1e-6) -> float:

@@ -60,6 +60,17 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+        if 0 < value < float("inf"):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+
+
 def _positive_ints(text: str) -> list[int]:
     """argparse type: a comma list of integers >= 1."""
     return [_positive_int(v) for v in text.split(",")]
@@ -492,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the sampler plus toy head on synthetic data")
     p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--lr", type=float, default=5e-4)
+    p.add_argument("--lr", type=_positive_float, default=5e-4)
     p.add_argument("--batch", type=_positive_int, default=12)
     p.add_argument("--out", required=True)
     p.add_argument("--history")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -178,10 +179,10 @@ class CasNetConfig:
             raise ConfigError("k must be >= 1")
         if self.oa_layers < 1:
             raise ConfigError("oa_layers must be >= 1")
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails; inf means an unbounded radius
             raise ConfigError("radius must be > 0")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("loss weights must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ConfigError("loss weights must be finite and >= 0")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}")
         if self.mode not in MODES:

@@ -111,7 +111,7 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     of a run of consecutive cells share the union of those lists as
     candidates, and the result is index-identical to ranking the whole cloud.
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN fails
         raise ConfigError("radius must be > 0")
     pts = cloud.points
     n = pts.shape[0]

@@ -3,6 +3,7 @@ import pytest
 
 from pcsimp import autodiff as ad
 from pcsimp.autodiff import Tensor
+from pcsimp.cli import _gradcheck_op_cases
 from pcsimp.core import BadLabelError, NonScalarRootError, ShapeMismatchError
 
 
@@ -164,10 +165,55 @@ def test_finite_diff_linear_is_nearly_exact():
 
 
 def test_no_graph_retention_without_requires_grad():
-    a = Tensor(np.ones((2, 2)))
-    b = Tensor(np.ones((2, 2)))
-    out = ad.matmul(a, b)
-    assert out._parents == () and out._backward is None
+    # each case's output is built by its op and the ops around it; with
+    # constant inputs none of them may keep parents or a backward rule
+    cases = _gradcheck_op_cases()
+    cases.append(("ste_harden", [t(np.ones((3, 2)))], lambda ps: ad.ste_harden(ps[0], np.array([1, 0]))))
+    for name, params, fn in cases:
+        for p in params:
+            p.requires_grad = False
+        out = fn(params)
+        assert out._parents == () and out._backward is None, name
+        assert not out.requires_grad, name
+
+
+def _nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x, y: ad.add(x, y),
+        lambda x, y: ad.sub(x, y),
+        lambda x, y: ad.transpose(x),
+        lambda x, y: ad.reshape(x, (3, 2)),
+        lambda x, y: ad.concat_cols([x, y]),
+        lambda x, y: ad.tsum(x, axis=0),
+        lambda x, y: ad.ste_harden(x, np.array([0, 1, 1])),
+        lambda x, y: ad.add(x, x),
+    ],
+    ids=["add", "sub", "transpose", "reshape", "concat_cols", "tsum", "ste_harden", "add_x_x"],
+)
+def test_no_two_gradients_share_memory(op):
+    # these vjps pass the node's gradient, or a view of it, to a parent: the
+    # parent's first gradient must be a copy, or a later += writes through
+    rng = np.random.default_rng(0)
+    x, y = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
+    out = op(x, y)
+    root = ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
+    ad.backward(root)
+    grads = [n.grad for n in _nodes(root) if n.grad is not None]
+    assert len(grads) >= 4
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -387,6 +387,35 @@ def test_bad_integer_flags_exit_1_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err and err.count("error: ") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lr", "nan"],
+        ["--lr", "inf"],
+        ["--lr", "0"],
+        ["--lr", "-1"],
+        ["--radius", "nan"],
+        ["--config", "radius=nan"],
+        ["--alpha", "nan"],
+        ["--beta", "inf"],
+    ],
+    ids="=".join,
+)
+def test_bad_float_settings_exit_1_with_one_error_line_and_no_checkpoint(tmp_path, capsys, argv):
+    if argv[0] == "--config":
+        config = tmp_path / "casnet.cfg"
+        config.write_text(argv[1] + "\n")
+        argv = ["--config", str(config)]
+    out = tmp_path / "m.pcw"
+    code = main(["train", *TINY_TRAIN, "--out", str(out), *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err.count("error: ") == 1
+    if argv[0] != "--lr":  # argparse also prints the usage line
+        assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sample_rejects_zero_chunks(cloud_file, tmp_path, capsys):
     out = tmp_path / "o.xyz"
     code = main(["sample", "--input", str(cloud_file), "--method", "fps-chunked", "--chunks", "0", "--ratio", "2", "--output", str(out)])

@@ -63,6 +63,7 @@ def test_config_validation():
         CasNetConfig(m=None, ratio=None).validate(256)
     with pytest.raises(ConfigError):
         CasNetConfig(m=32, radius=-1).validate(256)
+    CasNetConfig(m=32, radius=float("inf")).validate(256)  # an unbounded radius
     with pytest.raises(ConfigError):
         CasNetConfig(m=32, backend="octree").validate(256)
     with pytest.raises(PcsimpError):

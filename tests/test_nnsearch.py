@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,14 @@ def test_k_equal_to_n(dtype):
 def test_ball_query_rejects_k_below_one():
     with pytest.raises(ConfigError):
         ball_query(PointCloud(np.zeros((2, 3))), 1.0, 0)
+
+
+def test_ball_query_rejects_a_nan_radius_before_any_numpy_warning():
+    cloud = PointCloud(np.random.default_rng(0).random((64, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            ball_query(cloud, float("nan"), 4)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
