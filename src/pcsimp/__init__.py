@@ -7,7 +7,6 @@ from .core import (
     PointCloud,
     RunRecord,
     ratio_to_count,
-    validate_cloud,
 )
 
 __version__ = "0.1.0"
@@ -18,6 +17,5 @@ __all__ = [
     "PointCloud",
     "RunRecord",
     "ratio_to_count",
-    "validate_cloud",
     "__version__",
 ]

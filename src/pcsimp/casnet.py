@@ -26,7 +26,6 @@ from .core import (
     PointCloud,
     SENTINEL,
     ShapeMismatchError,
-    validate_cloud,
 )
 from .nnsearch import find_neighbors
 
@@ -90,6 +89,15 @@ class CasNetWeights:
         """The same values in `dtype`, as constants: layers given these keep
         nothing for a backward pass."""
         return CasNetWeights.from_arrays({k: v.astype(dtype, copy=False) for k, v in self.to_arrays().items()})
+
+    def check_fits(self, oa_layers: int, m: int, prefix: str = "") -> None:
+        """Raise ShapeMismatchError unless these weights hold `oa_layers`
+        attention layers and emit m output points: the one place the weights
+        are compared with a config."""
+        if len(self.layers) != oa_layers:
+            raise ShapeMismatchError(f"{prefix}weights hold {len(self.layers)} attention layers but oa_layers is {oa_layers}")
+        if self.m != m:
+            raise ShapeMismatchError(f"{prefix}weights emit m={self.m} points but m={m} is needed")
 
     def _check_shapes(self, prefix: str) -> None:
         """Raise ShapeMismatchError naming the first array that does not fit the
@@ -356,18 +364,20 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
     return ad.custom(out, parents, vjp)
 
 
-def asm(f_pointwise: Tensor, weights: CasNetWeights, oa_layers: int) -> tuple[Tensor, list[Tensor]]:
-    """Stack of skip-connected attention layers; outputs concatenated column-wise."""
+def asm(f_pointwise: Tensor, weights: CasNetWeights) -> tuple[Tensor, list[Tensor]]:
+    """Stack of skip-connected attention layers, one per layer the weights
+    hold; outputs concatenated column-wise."""
     outputs = []
     current = f_pointwise
-    for lay in weights.layers[:oa_layers]:
+    for lay in weights.layers:
         current = offset_attention(current, lay)
         outputs.append(current)
     return ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], outputs
 
 
-def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: bool = True) -> tuple[Tensor | None, np.ndarray]:
-    """Score MLP, then softmax over the input-point axis: each column of S~ sums to 1.
+def soft_matrix(f_concat: Tensor, weights: CasNetWeights, keep_soft: bool = True) -> tuple[Tensor | None, np.ndarray]:
+    """Score MLP, then softmax over the input-point axis: each of the
+    weights.m columns of S~ sums to 1.
 
     One node, returned with each column's argmax over the logits (ties to the
     lower row): the rows a hard sample selects. Training and inference both
@@ -380,10 +390,8 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: boo
     """
     w1, b1 = weights.rho_hidden
     w2 = weights.rho_out
-    if w2.data.shape[1] != m:
-        raise ShapeMismatchError(f"score head emits {w2.data.shape[1]} columns, expected m={m}")
     f = f_concat.data
-    n = f.shape[0]
+    n, m = f.shape[0], weights.m
     h = _affine_relu(f, w1, b1)
     block = ATTENTION_BLOCK_ROWS
     logits = np.empty((n, m) if keep_soft else (min(block, n), m), dtype=h.dtype)
@@ -419,8 +427,8 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, m: int, keep_soft: boo
 
 def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
     """Neighbor search, grouping, embedding and the attention stack, in the weights' dtype."""
-    validate_cloud(cloud)
     config.validate(cloud.n)
+    weights.check_fits(config.oa_layers, config.output_count(cloud.n))
     dtype = weights.sigma[0][0].data.dtype
     if config.k == 1:
         # the one slot holds a point at distance zero, the point itself or an
@@ -432,14 +440,14 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
         f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
     f_pointwise = embed(f_combine, weights)
-    f_concat, f_oa = asm(f_pointwise, weights, config.oa_layers)
+    f_concat, f_oa = asm(f_pointwise, weights)
     return f_pointwise, f_oa, f_concat
 
 
 def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, ForwardCache]:
     """Graph-building forward pass; the cache retains every intermediate."""
     f_pointwise, f_oa, f_concat = _encode(cloud, config, weights)
-    s_tilde, rows = soft_matrix(f_concat, weights, config.output_count(cloud.n))
+    s_tilde, rows = soft_matrix(f_concat, weights)
 
     p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
     if config.mode == "ahsn":
@@ -484,7 +492,7 @@ def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> t
     """
     weights = weights.detached(cloud.points.dtype)
     *_, f_concat = _encode(cloud, config, weights)
-    soft, rows = soft_matrix(f_concat, weights, config.output_count(cloud.n), keep_soft=config.mode == "assn")
+    soft, rows = soft_matrix(f_concat, weights, keep_soft=config.mode == "assn")
     if soft is None:
         return PointCloud(cloud.points[rows]), rows
     return PointCloud(soft.data.T @ cloud.points), None

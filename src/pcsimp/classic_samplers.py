@@ -40,7 +40,8 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
 
     Greedily selects the point maximizing its minimum squared distance to the
     already-selected set, maintaining the running min-distance array (O(n*m)).
-    Ties break toward the lower index.
+    Ties break toward the lower index. A picked point's distance is set to -1,
+    so the m picks are distinct even when the cloud repeats points.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -51,12 +52,14 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
     selected[0] = start
     diff = pts - pts[start]
     min_d = (diff * diff).sum(axis=1)
+    min_d[start] = -1
     for i in range(1, m):
         j = int(np.argmax(min_d))
         selected[i] = j
         diff = pts - pts[j]
         d_j = (diff * diff).sum(axis=1)
         np.minimum(min_d, d_j, out=min_d)
+        min_d[j] = -1
     return SampleResult(selected, PointCloud(pts[selected]))
 
 

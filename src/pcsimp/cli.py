@@ -109,22 +109,11 @@ def _load_sampler_weights(path: str) -> casnet.CasNetWeights:
     return weights
 
 
-def _resolve_m(args, n: int) -> int:
-    if getattr(args, "count", None) is not None:
-        return args.count
-    if getattr(args, "ratio", None) is not None:
-        return ratio_to_count(n, args.ratio)
-    raise PcsimpError("one of --count or --ratio is required")
-
-
 def _casnet_setup(config: CasNetConfig, weights, m: int, what: str):
     """Config and weights for m output points, built before any timing starts."""
     cfg = CasNetConfig(**{**config.__dict__, "m": m, "ratio": None})
     w = weights if weights is not None else casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
-    if w.m != m:
-        raise PcsimpError(f"{what}: weights emit m={w.m} points but m={m} is needed")
-    if len(w.layers) != cfg.oa_layers:
-        raise PcsimpError(f"{what}: weights hold {len(w.layers)} attention layers but --oa is {cfg.oa_layers}")
+    w.check_fits(cfg.oa_layers, m, f"{what}: ")
     return cfg, w
 
 
@@ -148,8 +137,8 @@ def _sampler_fn(method: str, args, casnet_setups: dict):
 
 def cmd_sample(args) -> int:
     cloud = read_cloud(args.input, args.format)
-    m = _resolve_m(args, cloud.n)
     config = _config_from_args(args)
+    m = config.output_count(cloud.n)
     setups = {}
     if args.method == "casnet":
         if not args.weights:
@@ -424,7 +413,7 @@ def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
     # a constant, which the column softmax cancels: the true gradient is
     # exactly zero and finite differences see only roundoff there. Layer by
     # layer, since each bias moves the input of the next layer.
-    for i, lay in enumerate(weights.layers[: config.oa_layers]):
+    for i, lay in enumerate(weights.layers):
         _, cache = casnet.forward(cloud, config, weights)
         f = (cache.f_oa[i - 1] if i else cache.f_pointwise).data
         lay.bg.data[...] = -np.median((f - _attention_rows(f, lay)) @ lay.wg.data, axis=0)
@@ -521,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--ops", action="store_true")
     p.add_argument("--end-to-end", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--eps", type=_positive_float, default=1e-6)
+    p.add_argument("--threshold", type=_positive_float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
 
     return parser

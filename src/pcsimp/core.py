@@ -108,7 +108,9 @@ def read_text(path: str | Path) -> str:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An n-by-3 matrix of spatial coordinates. Immutable after construction."""
+    """A non-empty n-by-3 matrix of finite spatial coordinates. Immutable
+    after construction; raises ShapeMismatchError, EmptyCloudError or
+    NonFiniteCoordinateError (naming the first bad row) otherwise."""
 
     points: np.ndarray
 
@@ -118,6 +120,10 @@ class PointCloud:
             pts = pts.astype(np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ShapeMismatchError(f"expected (n, 3) array, got {pts.shape}")
+        if len(pts) == 0:
+            raise EmptyCloudError("point cloud has no points")
+        if not np.isfinite(pts).all():
+            raise NonFiniteCoordinateError(int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]))
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -128,15 +134,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.n
-
-
-def validate_cloud(cloud: PointCloud) -> None:
-    """Raise unless the cloud is non-empty with all-finite coordinates."""
-    if cloud.n == 0:
-        raise EmptyCloudError("point cloud has no points")
-    finite = np.isfinite(cloud.points).all(axis=1)
-    if not finite.all():
-        raise NonFiniteCoordinateError(int(np.flatnonzero(~finite)[0]))
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,8 @@ class CasNetConfig:
     score_hidden: int = 256
     cosine_axis: str = "rows"
 
-    def validate(self, n: int | None = None) -> None:
+    def validate(self, n: int) -> None:
+        """Raise ConfigError (or KTooLargeError) unless the config fits an n-point cloud."""
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.oa_layers < 1:
@@ -189,18 +187,17 @@ class CasNetConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.cosine_axis not in COSINE_AXES:
             raise ConfigError(f"cosine_axis must be one of {COSINE_AXES}")
-        if self.m is None and self.ratio is None:
-            raise ConfigError("either m or ratio must be set")
-        if n is not None:
-            if self.k > n:
-                raise KTooLargeError(f"k={self.k} exceeds cloud size {n}")
-            m = self.output_count(n)
-            if not 1 <= m <= n:
-                raise ConfigError(f"m={m} outside [1, {n}]")
+        if self.k > n:
+            raise KTooLargeError(f"k={self.k} exceeds cloud size {n}")
+        m = self.output_count(n)
+        if not 1 <= m <= n:
+            raise ConfigError(f"m={m} outside [1, {n}]")
 
     def output_count(self, n: int) -> int:
         if self.m is not None:
             return self.m
+        if self.ratio is None:
+            raise ConfigError("either m or ratio must be set")
         return ratio_to_count(n, self.ratio)
 
     @classmethod

@@ -20,7 +20,6 @@ from .core import (
     PointCloud,
     RunRecord,
     read_text,
-    validate_cloud,
 )
 
 KITTI_RECORD_BYTES = 16
@@ -43,9 +42,7 @@ def read_kitti_bin(path: str | Path) -> PointCloud:
     if len(raw) == 0:
         raise EmptyCloudError(f"{path}: empty file")
     records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    cloud = PointCloud(records[:, :3].copy())
-    validate_cloud(cloud)
-    return cloud
+    return PointCloud(records[:, :3].copy())
 
 
 def write_kitti_bin(path: str | Path, cloud: PointCloud) -> None:
@@ -81,12 +78,10 @@ def read_xyz(path: str | Path) -> PointCloud:
             raise ParseFailureError(lineno, str(e)) from e
     if not rows:
         raise EmptyCloudError(f"{path}: no points")
-    # a value beyond the float32 range casts to inf, which validate_cloud reports
+    # a value beyond the float32 range casts to inf, which PointCloud reports
     with np.errstate(over="ignore"):
         pts = np.asarray(rows, dtype=np.float32)
-    cloud = PointCloud(pts)
-    validate_cloud(cloud)
-    return cloud
+    return PointCloud(pts)
 
 
 def write_xyz(path: str | Path, cloud: PointCloud) -> None:

@@ -30,8 +30,8 @@ def subset_loss(p_in: PointCloud, p_sp) -> Tensor:
     a = p_in.points.astype(sp.data.dtype, copy=False)
     b = sp.data
     n, m = a.shape[0], b.shape[0]
-    if n == 0 or m == 0:
-        raise EmptyCloudError("subset_loss requires non-empty clouds")
+    if m == 0:
+        raise EmptyCloudError("subset_loss requires a non-empty output cloud")
     diff = a[:, None, :] - b[None, :, :]
     d = (diff * diff).sum(axis=-1)
     nearest_out = d.argmin(axis=1)  # for each input point

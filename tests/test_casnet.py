@@ -9,6 +9,7 @@ from pcsimp.core import (
     NeighborTable,
     NoCacheError,
     PointCloud,
+    ShapeMismatchError,
 )
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
 from pcsimp.nnsearch import ball_query, knn_bruteforce
@@ -158,7 +159,7 @@ def test_asm_concat_width_bookkeeping(oa_layers):
     config = tiny_config(oa_layers=oa_layers)
     weights = casnet.init_weights(config, 4)
     f = Tensor(np.random.default_rng(7).normal(size=(6, 8)))
-    concat, per_layer = casnet.asm(f, weights, oa_layers)
+    concat, per_layer = casnet.asm(f, weights)
     assert concat.data.shape == (6, oa_layers * 8)
     assert len(per_layer) == oa_layers
     for b, block in enumerate(per_layer):
@@ -172,7 +173,7 @@ def test_soft_matrix_constant_scores_give_uniform_columns():
     weights.rho_hidden[1].data[...] = 1.0
     weights.rho_out.data[...] = np.random.default_rng(8).normal(size=weights.rho_out.data.shape)
     f = Tensor(np.random.default_rng(9).normal(size=(5, 8)))
-    soft, _ = casnet.soft_matrix(f, weights, 4)
+    soft, _ = casnet.soft_matrix(f, weights)
     assert np.allclose(soft.data, 0.2)
 
 
@@ -180,7 +181,7 @@ def test_soft_matrix_columns_sum_to_one():
     config = tiny_config()
     weights = casnet.init_weights(config, 4)
     f = Tensor(np.random.default_rng(10).normal(size=(7, 8)))
-    soft, _ = casnet.soft_matrix(f, weights, 4)
+    soft, _ = casnet.soft_matrix(f, weights)
     assert (soft.data >= 0).all()
     assert np.abs(soft.data.sum(axis=0) - 1.0).max() <= 1e-5
 
@@ -194,7 +195,7 @@ def test_soft_matrix_closed_form_small_case():
     weights.rho_hidden = (w1, b1)
     weights.rho_out = w2
     f = Tensor(np.array([[1.0], [2.0], [3.0]]))
-    soft = casnet.soft_matrix(f, weights, 2)[0].data
+    soft = casnet.soft_matrix(f, weights)[0].data
     logits = np.maximum(f.data @ w1.data, 0) @ w2.data
     for col in range(2):
         e = np.exp(logits[:, col] - logits[:, col].max())
@@ -206,8 +207,8 @@ def test_soft_matrix_permutation_equivariance():
     weights = casnet.init_weights(config, 4)
     f = np.random.default_rng(11).normal(size=(6, 8))
     perm = np.random.default_rng(12).permutation(6)
-    direct = casnet.soft_matrix(Tensor(f[perm]), weights, 4)[0].data
-    permuted = casnet.soft_matrix(Tensor(f), weights, 4)[0].data[perm]
+    direct = casnet.soft_matrix(Tensor(f[perm]), weights)[0].data
+    permuted = casnet.soft_matrix(Tensor(f), weights)[0].data[perm]
     assert np.allclose(direct, permuted, atol=1e-12)
 
 
@@ -249,6 +250,21 @@ def test_projection_widths_share_output_dimension():
     weights = casnet.init_weights(tiny_config(), 4)
     lay = weights.layers[0]
     assert lay.wq.data.shape == lay.wk.data.shape == lay.wv.data.shape == (8, 8)
+
+
+@pytest.mark.parametrize(
+    "weights_oa, weights_m, config_oa, match",
+    [
+        pytest.param(1, 4, 3, "1 attention layers", id="config-deeper-than-weights"),
+        pytest.param(3, 4, 1, "3 attention layers", id="weights-deeper-than-config"),
+        pytest.param(1, 6, 1, "m=6", id="another-m"),
+    ],
+)
+@pytest.mark.parametrize("run", [casnet.sample, casnet.forward], ids=["sample", "forward"])
+def test_weights_that_do_not_fit_the_config_are_rejected(run, weights_oa, weights_m, config_oa, match):
+    weights = casnet.init_weights(tiny_config(oa_layers=weights_oa), weights_m)
+    with pytest.raises(ShapeMismatchError, match=match):
+        run(random_cloud(16, 2), tiny_config(oa_layers=config_oa), weights)
 
 
 def test_weight_container_round_trip():
@@ -357,8 +373,8 @@ def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypat
     weights = casnet.init_weights(config, 6)
     table = knn_bruteforce(cloud, 1)
     assert (table.indices[:, 0] != np.arange(cloud.n)).any()
-    f_concat, _ = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights, 2)
-    soft, rows = casnet.soft_matrix(f_concat, weights, 6)
+    f_concat, _ = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights)
+    soft, rows = casnet.soft_matrix(f_concat, weights)
 
     def no_search(*args):
         raise AssertionError("k=1 ran a neighbour search")

@@ -64,6 +64,19 @@ def test_fps_full_draw_is_permutation():
     assert sorted(fps(cloud, 15, start=4).indices.tolist()) == list(range(15))
 
 
+@pytest.mark.parametrize(
+    "pts, expected",
+    [
+        pytest.param([[0.0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0]], [0, 1, 2, 3], id="two-distinct-positions"),
+        pytest.param([[2.0, 2, 2]] * 6, [0, 1, 2], id="all-identical"),
+    ],
+)
+def test_fps_picks_distinct_indices_when_points_repeat(pts, expected):
+    cloud = PointCloud(np.array(pts))
+    assert fps(cloud, len(expected), start=0).indices.tolist() == expected
+    assert fps_chunked(cloud, len(expected), 1).indices.tolist() == expected
+
+
 def test_fps_matches_recompute_oracle():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(20, 3))

@@ -197,6 +197,24 @@ def test_gradcheck_ops(capsys):
     assert "matmul" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("flag", ["--eps", "--threshold"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_gradcheck_rejects_a_non_positive_or_non_finite_flag_with_one_line(capsys, flag, value):
+    assert main(["gradcheck", "--ops", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.count("error: ") == 1
+    assert captured.err.splitlines()[-1].startswith(f"error: argument {flag}")
+
+
+def test_sample_without_count_or_ratio_exits_with_one_line(cloud_file, tmp_path, capsys):
+    out = tmp_path / "out.xyz"
+    assert main(["sample", "--input", str(cloud_file), "--method", "fps", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "m or ratio" in err
+    assert not out.exists()
+
+
 def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     out = tmp_path / "model.pcw"
     code = main(

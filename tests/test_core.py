@@ -10,26 +10,34 @@ from pcsimp.core import (
     PcsimpError,
     PointCloud,
     RunRecord,
+    ShapeMismatchError,
     ratio_to_count,
-    validate_cloud,
 )
 
 
-def test_validate_cloud_accepts_finite_points():
-    validate_cloud(PointCloud(np.array([[0.0, 0, 0], [1, 2, 3], [-1, 0.5, 2]])))
+def test_point_cloud_accepts_finite_points():
+    assert PointCloud(np.array([[0.0, 0, 0], [1, 2, 3], [-1, 0.5, 2]])).n == 3
 
 
-def test_validate_cloud_rejects_empty():
+def test_point_cloud_rejects_empty():
     with pytest.raises(EmptyCloudError):
-        validate_cloud(PointCloud(np.empty((0, 3))))
+        PointCloud(np.empty((0, 3)))
 
 
-def test_validate_cloud_reports_offending_row():
-    pts = np.zeros((8, 3))
-    pts[5, 1] = np.nan
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_point_cloud_reports_offending_row(dtype, bad):
+    pts = np.ones((64, 3), dtype=dtype)
+    pts[40, 0] = bad
+    pts[5, 1] = bad
     with pytest.raises(NonFiniteCoordinateError) as exc:
-        validate_cloud(PointCloud(pts))
-    assert exc.value.row == 5
+        PointCloud(pts)
+    assert exc.value.row == 5 and "row 5" in str(exc.value)
+
+
+def test_point_cloud_rejects_a_wrong_shape():
+    with pytest.raises(ShapeMismatchError):
+        PointCloud(np.zeros((4, 2)))
 
 
 def test_cloud_points_are_immutable():

@@ -47,7 +47,7 @@ def tape_forward(cloud, config, weights):
     table = find_neighbors(cloud, config.backend, config.k, config.radius)
     f = tape_embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights)
     outputs = []
-    for lay in weights.layers[: config.oa_layers]:
+    for lay in weights.layers:
         f = tape_offset_attention(f, lay)
         outputs.append(f)
     soft = tape_soft_matrix(ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], weights)
@@ -243,11 +243,11 @@ def test_soft_matrix_matches_tape(n):
     weights = unit_weights(config_of(), 5)
     f = Tensor(np.random.default_rng(6).normal(size=(n, 16)), requires_grad=True)
     params = [f, *weights.rho_hidden, weights.rho_out]
-    (got, rows), want = casnet.soft_matrix(f, weights, 5), tape_soft_matrix(f, weights)
+    (got, rows), want = casnet.soft_matrix(f, weights), tape_soft_matrix(f, weights)
     assert_close([got.data], [want.data])
     logits = np.maximum(f.data @ weights.rho_hidden[0].data + weights.rho_hidden[1].data, 0) @ weights.rho_out.data
     assert np.array_equal(rows, logits.argmax(axis=0))
-    none, same_rows = casnet.soft_matrix(f, weights, 5, keep_soft=False)
+    none, same_rows = casnet.soft_matrix(f, weights, keep_soft=False)
     assert none is None and np.array_equal(same_rows, rows)
     upstream = np.random.default_rng(7).normal(size=(n, 5))
     assert_close(grads(got, params, upstream), grads(want, params, upstream))
@@ -262,7 +262,7 @@ def test_hard_rows_come_from_the_logits_not_the_rounded_softmax():
     weights.rho_out = Tensor(np.ones((1, 1), np.float32))
     low = np.float32(0.1)
     f = Tensor(np.array([[low], [np.nextafter(low, np.float32(1))]]))
-    soft, rows = casnet.soft_matrix(f, weights, 1)
+    soft, rows = casnet.soft_matrix(f, weights)
     assert soft.data[0, 0] == soft.data[1, 0]
     assert rows.tolist() == [1]
 
@@ -288,7 +288,7 @@ def test_network_gradients_match_tape(mode, k, oa_layers, radius):
 def test_hard_rows_break_ties_to_the_lower_row_across_blocks(keep_soft):
     weights = unit_weights(config_of(), 5)
     f = Tensor(np.ones((casnet.ATTENTION_BLOCK_ROWS + 1, 16)))
-    _, rows = casnet.soft_matrix(f, weights, 5, keep_soft=keep_soft)
+    _, rows = casnet.soft_matrix(f, weights, keep_soft=keep_soft)
     assert rows.tolist() == [0] * 5
 
 
@@ -355,7 +355,7 @@ def test_soft_matrix_in_float32_flushes_entries_below_the_normal_floor():
     logits = np.maximum(f.data @ weights.rho_hidden[0].data + weights.rho_hidden[1].data, 0) @ weights.rho_out.data
     shifted = logits - logits.max(axis=0)
     assert (shifted.min(axis=0) < -110).all() and ((shifted < -87.4) & (shifted > -103.3)).any()
-    soft, _ = casnet.soft_matrix(f, weights, 5)
+    soft, _ = casnet.soft_matrix(f, weights)
     s = soft.data
     assert s.dtype == F32 and not ((s > 0) & (s < np.sqrt(np.finfo(F32).tiny))).any()
     assert np.allclose(s.sum(axis=0), 1, atol=1e-6)
