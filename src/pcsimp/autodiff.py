@@ -375,3 +375,41 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
             raise IoFailureError(f"{path}: {name}: non-finite values")
         out[name] = arr
     return out
+
+
+def init_tensors(shapes: dict[str, tuple[int, ...]], seed: int, dtype) -> dict[str, Tensor]:
+    """Trainable tensors for a layout of named shapes, drawn in its order from
+    one seeded generator: a matrix uniform in [-sqrt(1/rows), +sqrt(1/rows)],
+    a vector of zeros."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = np.sqrt(1.0 / shape[0])
+            out[name] = Tensor(rng.uniform(-bound, bound, shape).astype(dtype), True)
+        else:
+            out[name] = Tensor(np.zeros(shape, dtype=dtype), True)
+    return out
+
+
+def matrix_shape(arrays: dict[str, np.ndarray], name: str) -> tuple[int, int]:
+    """The shape of the matrix `name`; ShapeMismatchError when it is missing
+    or not two-dimensional."""
+    a = arrays.get(name)
+    if a is None or a.ndim != 2:
+        raise ShapeMismatchError(f"{name} is missing" if a is None else f"{name} has shape {a.shape}, expected a matrix")
+    return a.shape
+
+
+def constants(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], prefix: str = "") -> dict[str, Tensor]:
+    """Constant tensors of the arrays a layout names, each looked up after
+    `prefix`, in the layout's order; other arrays are ignored. Raises
+    ShapeMismatchError naming the first array that is missing or has another
+    shape."""
+    out = {}
+    for name, shape in shapes.items():
+        a = arrays.get(prefix + name)
+        if a is None or a.shape != shape:
+            raise ShapeMismatchError(f"{prefix}{name} is missing" if a is None else f"{prefix}{name} has shape {a.shape}, expected {shape}")
+        out[name] = Tensor(a)
+    return out

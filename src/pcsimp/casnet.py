@@ -12,7 +12,7 @@ layer keeps an activation and attention runs in row blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,131 +45,92 @@ class OaLayerWeights:
     bg: Tensor
 
 
+def layout(e: int, c: int, s: int, m: int, depth: int) -> dict[str, tuple[int, ...]]:
+    """Every sampler array's name and shape, in the order init_weights draws
+    them: the embedding MLP (6 -> e -> c), `depth` attention layers of width
+    c, and the score MLP (depth * c -> s -> m). The output projection has no
+    bias: the per-column softmax (and the per-column argmax) cancel any
+    constant added to a whole column, so such a bias could not be trained."""
+    shapes = {"sigma.0.w": (6, e), "sigma.0.b": (e,), "sigma.1.w": (e, c), "sigma.1.b": (c,)}
+    for i in range(depth):
+        shapes.update({f"oa.{i}.wq": (c, c), f"oa.{i}.wk": (c, c), f"oa.{i}.wv": (c, c), f"oa.{i}.wg": (c, c), f"oa.{i}.bg": (c,)})
+    shapes.update({"rho.hidden.w": (depth * c, s), "rho.hidden.b": (s,), "rho.out.w": (s, m)})
+    return shapes
+
+
 @dataclass
 class CasNetWeights:
-    sigma: list[tuple[Tensor, Tensor]]
-    layers: list[OaLayerWeights]
-    rho_hidden: tuple[Tensor, Tensor]
-    # no bias on the output projection: the per-column softmax (and the
-    # per-column argmax) cancel any constant added to a whole column, so such
-    # a bias would be an untrainable dead parameter
-    rho_out: Tensor
+    """The sampler's tensors by name, in layout() order; the layers read them
+    as sigma, layers, rho_hidden and rho_out."""
+
+    tensors: dict[str, Tensor]
+
+    @property
+    def sigma(self) -> list[tuple[Tensor, Tensor]]:
+        return [(self.tensors[f"sigma.{i}.w"], self.tensors[f"sigma.{i}.b"]) for i in range(2)]
+
+    @property
+    def layers(self) -> list[OaLayerWeights]:
+        names = [f.name for f in fields(OaLayerWeights)]
+        return [OaLayerWeights(*(self.tensors[f"oa.{i}.{nm}"] for nm in names)) for i in range(self.depth)]
+
+    @property
+    def rho_hidden(self) -> tuple[Tensor, Tensor]:
+        return self.tensors["rho.hidden.w"], self.tensors["rho.hidden.b"]
+
+    @property
+    def rho_out(self) -> Tensor:
+        return self.tensors["rho.out.w"]
+
+    @property
+    def depth(self) -> int:
+        return sum(name.endswith(".wq") for name in self.tensors)
 
     @property
     def c(self) -> int:
-        return self.sigma[-1][0].data.shape[1]
+        return self.tensors["sigma.1.w"].data.shape[1]
 
     @property
     def m(self) -> int:
         return self.rho_out.data.shape[1]
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in self.sigma:
-            out += [w, b]
-        for lay in self.layers:
-            out += [lay.wq, lay.wk, lay.wv, lay.wg, lay.bg]
-        out += [self.rho_hidden[0], self.rho_hidden[1], self.rho_out]
-        return out
+        return list(self.tensors.values())
 
     def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(self.sigma):
-            out[f"{prefix}sigma.{i}.w"] = w.data
-            out[f"{prefix}sigma.{i}.b"] = b.data
-        for i, lay in enumerate(self.layers):
-            for name in ("wq", "wk", "wv", "wg", "bg"):
-                out[f"{prefix}oa.{i}.{name}"] = getattr(lay, name).data
-        out[f"{prefix}rho.hidden.w"] = self.rho_hidden[0].data
-        out[f"{prefix}rho.hidden.b"] = self.rho_hidden[1].data
-        out[f"{prefix}rho.out.w"] = self.rho_out.data
-        return out
+        return {prefix + name: t.data for name, t in self.tensors.items()}
 
     def detached(self, dtype) -> "CasNetWeights":
         """The same values in `dtype`, as constants: layers given these keep
         nothing for a backward pass."""
-        return CasNetWeights.from_arrays({k: v.astype(dtype, copy=False) for k, v in self.to_arrays().items()})
+        return CasNetWeights({name: Tensor(t.data.astype(dtype, copy=False)) for name, t in self.tensors.items()})
 
     def check_fits(self, oa_layers: int, m: int, prefix: str = "") -> None:
         """Raise ShapeMismatchError unless these weights hold `oa_layers`
         attention layers and emit m output points: the one place the weights
         are compared with a config."""
-        if len(self.layers) != oa_layers:
-            raise ShapeMismatchError(f"{prefix}weights hold {len(self.layers)} attention layers but oa_layers is {oa_layers}")
+        if self.depth != oa_layers:
+            raise ShapeMismatchError(f"{prefix}weights hold {self.depth} attention layers but oa_layers is {oa_layers}")
         if self.m != m:
             raise ShapeMismatchError(f"{prefix}weights emit m={self.m} points but m={m} is needed")
 
-    def _check_shapes(self, prefix: str) -> None:
-        """Raise ShapeMismatchError naming the first array that does not fit the
-        architecture read off sigma.0.w (e), sigma.1.w (c), rho.hidden.w (s),
-        rho.out.w (m) and the number of attention layers."""
-        if len(self.sigma) != 2 or not self.layers:
-            raise ShapeMismatchError(f"{prefix}sigma.*, {prefix}oa.*: expected 2 embedding layers and at least 1 attention layer")
-        arrays = self.to_arrays(prefix)
-        for name in ("sigma.0.w", "sigma.1.w", "rho.hidden.w", "rho.out.w"):
-            if arrays[prefix + name].ndim != 2:
-                raise ShapeMismatchError(f"{prefix}{name} has shape {arrays[prefix + name].shape}, expected a matrix")
-        e, c, s, m = self.sigma[0][0].data.shape[1], self.c, self.rho_hidden[0].data.shape[1], self.m
-        expected = {"sigma.0.w": (6, e), "sigma.0.b": (e,), "sigma.1.w": (e, c), "sigma.1.b": (c,)}
-        for i in range(len(self.layers)):
-            expected.update({f"oa.{i}.{name}": (c, c) for name in ("wq", "wk", "wv", "wg")})
-            expected[f"oa.{i}.bg"] = (c,)
-        expected.update({"rho.hidden.w": (len(self.layers) * c, s), "rho.hidden.b": (s,), "rho.out.w": (s, m)})
-        for name, shape in expected.items():
-            if arrays[prefix + name].shape != shape:
-                raise ShapeMismatchError(f"{prefix}{name} has shape {arrays[prefix + name].shape}, expected {shape}")
-
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "") -> "CasNetWeights":
-        """Constant weights from named arrays; raises ShapeMismatchError when
-        their shapes do not fit one architecture."""
-        sigma = []
-        i = 0
-        while f"{prefix}sigma.{i}.w" in arrays:
-            sigma.append((Tensor(arrays[f"{prefix}sigma.{i}.w"]), Tensor(arrays[f"{prefix}sigma.{i}.b"])))
-            i += 1
-        layers = []
-        i = 0
-        while f"{prefix}oa.{i}.wq" in arrays:
-            layers.append(OaLayerWeights(*(Tensor(arrays[f"{prefix}oa.{i}.{nm}"]) for nm in ("wq", "wk", "wv", "wg", "bg"))))
-            i += 1
-        weights = cls(
-            sigma=sigma,
-            layers=layers,
-            rho_hidden=(Tensor(arrays[f"{prefix}rho.hidden.w"]), Tensor(arrays[f"{prefix}rho.hidden.b"])),
-            rho_out=Tensor(arrays[f"{prefix}rho.out.w"]),
-        )
-        weights._check_shapes(prefix)
-        return weights
+        """Constant weights from the arrays layout() names, each looked up
+        after `prefix`; other arrays are ignored. The architecture is read off
+        sigma.1.w (e, c), rho.hidden.w (depth * c, s) and rho.out.w (m), at
+        least one attention layer; ShapeMismatchError names the first array
+        that is missing or does not fit it."""
+        e, c = ad.matrix_shape(arrays, prefix + "sigma.1.w")
+        rows, s = ad.matrix_shape(arrays, prefix + "rho.hidden.w")
+        m = ad.matrix_shape(arrays, prefix + "rho.out.w")[1]
+        return cls(ad.constants(arrays, layout(e, c, s, m, max(1, rows // max(c, 1))), prefix))
 
 
 def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | None = None) -> CasNetWeights:
     """Seeded uniform init in [-sqrt(1/fan_in), +sqrt(1/fan_in)]; zero biases."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    c, eh, sh = config.c, config.embed_hidden, config.score_hidden
-
-    def affine(fan_in, fan_out):
-        bound = np.sqrt(1.0 / fan_in)
-        w = rng.uniform(-bound, bound, (fan_in, fan_out)).astype(dtype)
-        b = np.zeros(fan_out, dtype=dtype)
-        return Tensor(w, True), Tensor(b, True)
-
-    def square(fan_in, fan_out):
-        bound = np.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)).astype(dtype), True)
-
-    sigma = [affine(6, eh), affine(eh, c)]
-    layers = []
-    for _ in range(config.oa_layers):
-        wq, wk, wv = square(c, c), square(c, c), square(c, c)
-        wg, bg = affine(c, c)
-        layers.append(OaLayerWeights(wq, wk, wv, wg, bg))
-    return CasNetWeights(
-        sigma=sigma,
-        layers=layers,
-        rho_hidden=affine(config.oa_layers * c, sh),
-        rho_out=square(sh, m),
-    )
+    shapes = layout(config.embed_hidden, config.c, config.score_hidden, m, config.oa_layers)
+    return CasNetWeights(ad.init_tensors(shapes, config.seed if seed is None else seed, dtype))
 
 
 @dataclass

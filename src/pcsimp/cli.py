@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .autodiff import Tensor
 from .core import (
     BACKENDS,
     CasNetConfig,
+    ConfigError,
     IoFailureError,
     MalformedLengthError,
     ParseFailureError,
@@ -30,8 +32,7 @@ from .core import (
     ratio_to_count,
     read_text,
 )
-from .io import format_report, read_cloud, write_cloud, write_report
-from .losses import cosine_loss, subset_loss, total_loss
+from .io import format_report, read_cloud, write_cloud
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,36 +78,28 @@ def _positive_ints(text: str) -> list[int]:
 
 
 def _config_from_args(args) -> CasNetConfig:
+    """The --config file's settings (or the defaults), overridden by every
+    flag given: each flag's dest is the name of the field it sets."""
     cfg = CasNetConfig.from_file(args.config) if getattr(args, "config", None) else CasNetConfig()
-    for flag, attr in (
-        ("k", "k"),
-        ("oa", "oa_layers"),
-        ("radius", "radius"),
-        ("backend", "backend"),
-        ("mode", "mode"),
-        ("seed", "seed"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-        ("count", "m"),
-        ("ratio", "ratio"),
-        ("cosine_axis", "cosine_axis"),
-    ):
-        value = getattr(args, flag, None)
+    for f in fields(CasNetConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, f.name, value)
     return cfg
 
 
-def _load_sampler_weights(path: str) -> casnet.CasNetWeights:
+def _load_weights(path: str, read):
+    """read(arrays) on the checkpoint at path; its ShapeMismatchError names the file."""
     arrays = ad.load_arrays(path)
-    prefix = "sampler." if any(k.startswith("sampler.") for k in arrays) else ""
     try:
-        weights = casnet.CasNetWeights.from_arrays(arrays, prefix=prefix)
-    except KeyError as e:
-        raise PcsimpError(f"{path}: incomplete sampler weights ({e})") from e
+        return read(arrays)
     except ShapeMismatchError as e:
         raise ShapeMismatchError(f"{path}: {e}") from None
-    return weights
+
+
+def _read_sampler(arrays: dict) -> casnet.CasNetWeights:
+    prefix = "sampler." if any(k.startswith("sampler.") for k in arrays) else ""
+    return casnet.CasNetWeights.from_arrays(arrays, prefix)
 
 
 def _casnet_setup(config: CasNetConfig, weights, m: int, what: str):
@@ -143,11 +136,11 @@ def cmd_sample(args) -> int:
     if args.method == "casnet":
         if not args.weights:
             raise PcsimpError("casnet requires --weights")
-        setups[m] = _casnet_setup(config, _load_sampler_weights(args.weights), m, args.input)
+        setups[m] = _casnet_setup(config, _load_weights(args.weights, _read_sampler), m, args.input)
     fn = _sampler_fn(args.method, args, setups)
 
     started = time.perf_counter()
-    sampled, indices = fn(cloud, m, args.seed)
+    sampled, indices = fn(cloud, m, config.seed)
     elapsed = time.perf_counter() - started
     print(f"t_sample_s={elapsed:.6f}")
 
@@ -197,16 +190,9 @@ def cmd_bench(args) -> int:
             raise PcsimpError(f"unknown method {mth!r}")
     ratios = args.ratios
     config = _config_from_args(args)
-    weights = _load_sampler_weights(args.weights) if args.weights else None
-    head = None
-    labels = None
-    if args.head:
-        try:
-            head = training.ToyTaskHead.from_arrays(ad.load_arrays(args.head))
-        except KeyError as e:
-            raise PcsimpError(f"{args.head}: incomplete head weights ({e})") from e
-        if args.labels:
-            labels = _read_labels(args.labels)
+    weights = _load_weights(args.weights, _read_sampler) if args.weights else None
+    head = _load_weights(args.head, training.ToyTaskHead.from_arrays) if args.head else None
+    labels = _read_labels(args.labels) if args.head and args.labels else None
     setups = {}
     if "casnet" in methods:
         # a checkpoint emits one m: a pair that needs another fails here, before any timing
@@ -228,7 +214,7 @@ def cmd_bench(args) -> int:
                 for i, (name, cloud) in enumerate(clouds):
                     m = ratio_to_count(cloud.n, ratio)
                     started = time.perf_counter()
-                    sampled, _ = fn(cloud, m, args.seed + i)
+                    sampled, _ = fn(cloud, m, config.seed + i)
                     total += time.perf_counter() - started
                     outputs.append((name, cloud, sampled))
                 batch_times.append(total)
@@ -259,7 +245,7 @@ def cmd_bench(args) -> int:
     text = format_report(records, args.format)
     print(text, end="")
     if args.report:
-        write_report(records, args.format, args.report)
+        Path(args.report).write_text(text)
     return EXIT_OK
 
 
@@ -268,6 +254,8 @@ def cmd_nnbench(args) -> int:
     for b in backends:
         if b not in BACKENDS:
             raise PcsimpError(f"unknown backend {b!r}")
+    if not args.radius > 0:  # NaN fails; inf means an unbounded radius
+        raise ConfigError("radius must be > 0")
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>6} {'k':>4} {'backend':<15} {'time_s':>10}  verified")
     failures = 0
@@ -399,13 +387,9 @@ def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
     point = np.random.default_rng(1000)
     for p in params:
         p.data[...] = point.normal(scale=0.8, size=p.data.shape)
-    label = np.array([1])
 
     def objective(_params):
-        _, cache = casnet.forward(cloud, config, weights)
-        logits = head.forward(cache.p_sp)
-        task = ad.cross_entropy(logits, label)
-        return total_loss(task, subset_loss(cloud, cache.p_sp), cosine_loss(cache.soft), 1.0, 1.0).total
+        return training.cloud_loss(cloud, 1, config, weights, head)[0].total
 
     # Recenter the offset-MLP and score-MLP biases on the median of their
     # pre-activations so each relu unit is active for some rows and inactive
@@ -448,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_casnet_flags(p, include_mode=True):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--k", type=int, help="neighbor count")
-        p.add_argument("--oa", type=int, help="attention layer count")
+        p.add_argument("--oa", dest="oa_layers", type=int, help="attention layer count")
         p.add_argument("--radius", type=float, help="ball query radius")
         p.add_argument("--backend", choices=BACKENDS)
         if include_mode:
@@ -459,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("bin", "xyz"))
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--ratio", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", dest="m", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--weights")
     p.add_argument("--chunks", type=int, default=8)
     p.add_argument("--output", required=True)
@@ -472,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="rs,fps,casnet")
     p.add_argument("--ratios", type=_positive_ints, default="2")
     p.add_argument("--repeats", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--report")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.add_argument("--weights")
@@ -499,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--count", type=int, help="output points m")
+    p.add_argument("--count", dest="m", type=int, help="output points m")
     p.add_argument("--cosine-axis", dest="cosine_axis", choices=("rows", "columns"))
     p.add_argument("--train-per-class", type=_positive_int, default=100)
     p.add_argument("--test-per-class", type=_positive_int, default=30)

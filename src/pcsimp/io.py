@@ -7,6 +7,7 @@ write path emits zero intensity. Reports go out as CSV or grouped markdown.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .core import (
 
 KITTI_RECORD_BYTES = 16
 
-REPORT_COLUMNS = ("method", "n_in", "n_out", "oa", "k", "t_batch_s", "t_sample_s", "acc", "prec", "rec", "f1")
+REPORT_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def read_kitti_bin(path: str | Path) -> PointCloud:
@@ -105,10 +106,11 @@ def write_cloud(path: str | Path, cloud: PointCloud) -> None:
         write_xyz(path, cloud)
 
 
-def _cell(value, time_format: bool = False) -> str:
+def _cell(column: str, value) -> str:
+    """Empty for None, times (t_*) to 6 decimals, other floats to 4."""
     if value is None:
         return ""
-    if time_format:
+    if column.startswith("t_"):
         return f"{value:.6f}"
     if isinstance(value, float):
         return f"{value:.4f}"
@@ -116,19 +118,7 @@ def _cell(value, time_format: bool = False) -> str:
 
 
 def _record_cells(r: RunRecord) -> list[str]:
-    return [
-        r.method,
-        str(r.n_in),
-        str(r.n_out),
-        _cell(r.oa),
-        _cell(r.k),
-        _cell(r.t_batch_s, time_format=True),
-        _cell(r.t_sample_s, time_format=True),
-        _cell(r.acc),
-        _cell(r.prec),
-        _cell(r.rec),
-        _cell(r.f1),
-    ]
+    return [_cell(column, getattr(r, column)) for column in REPORT_COLUMNS]
 
 
 def format_report(records: list[RunRecord], fmt: str = "csv") -> str:
@@ -153,11 +143,3 @@ def format_report(records: list[RunRecord], fmt: str = "csv") -> str:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise PcsimpError(f"unknown report format {fmt!r}")
-
-
-def write_report(records: list[RunRecord], fmt: str, path: str | Path) -> None:
-    text = format_report(records, fmt)
-    try:
-        Path(path).write_text(text)
-    except OSError as e:
-        raise IoFailureError(str(e)) from e

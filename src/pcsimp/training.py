@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import casnet
 from .autodiff import Tensor
-from .core import CasNetConfig, EmptySplitError, PointCloud, ShapeMismatchError
+from .core import CasNetConfig, EmptySplitError, PcsimpError, PointCloud, ShapeMismatchError
 from .losses import cosine_loss, subset_loss, total_loss
 
 CLASS_NAMES = ("sphere", "cube", "plane")
@@ -51,65 +51,53 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
         p.data -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
+def head_layout(hidden: int, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Every head array's name and shape, in the order init_head draws them:
+    a per-point MLP (3 -> hidden -> hidden), then a linear classifier."""
+    return {"head.mlp.0.w": (3, hidden), "head.mlp.0.b": (hidden,), "head.mlp.1.w": (hidden, hidden), "head.mlp.1.b": (hidden,),
+            "head.cls.w": (hidden, n_classes), "head.cls.b": (n_classes,)}
+
+
 @dataclass
 class ToyTaskHead:
-    """Per-point MLP, global max pool, linear classifier. Permutation-invariant."""
+    """Per-point MLP, global max pool, linear classifier. Permutation-invariant.
+    Holds its tensors by name, in head_layout() order."""
 
-    mlp: list[tuple[Tensor, Tensor]]
-    classifier: tuple[Tensor, Tensor]
+    tensors: dict[str, Tensor]
 
     @property
     def n_classes(self) -> int:
-        return self.classifier[0].data.shape[1]
+        return self.tensors["head.cls.w"].data.shape[1]
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in self.mlp:
-            out += [w, b]
-        out += list(self.classifier)
-        return out
+        return list(self.tensors.values())
 
     def forward(self, points: Tensor) -> Tensor:
+        *mlp, wc, bc = self.tensors.values()
         h = points
-        for w, b in self.mlp:
+        for w, b in zip(mlp[::2], mlp[1::2]):
             h = ad.relu(ad.add_rowvec(ad.matmul(h, w), b))
         pooled = ad.reshape(ad.max_over_axis(h, axis=0), (1, -1))
-        wc, bc = self.classifier
         return ad.add_rowvec(ad.matmul(pooled, wc), bc)
 
     def predict(self, points: np.ndarray) -> int:
-        logits = self.forward(Tensor(points.astype(self.classifier[0].data.dtype, copy=False)))
+        logits = self.forward(Tensor(points.astype(self.tensors["head.cls.w"].data.dtype, copy=False)))
         return int(logits.data.argmax())
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(self.mlp):
-            out[f"head.mlp.{i}.w"] = w.data
-            out[f"head.mlp.{i}.b"] = b.data
-        out["head.cls.w"] = self.classifier[0].data
-        out["head.cls.b"] = self.classifier[1].data
-        return out
+        return {name: t.data for name, t in self.tensors.items()}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ToyTaskHead":
-        """A constant head from the arrays to_arrays names."""
-        mlp = []
-        i = 0
-        while f"head.mlp.{i}.w" in arrays:
-            mlp.append((Tensor(arrays[f"head.mlp.{i}.w"]), Tensor(arrays[f"head.mlp.{i}.b"])))
-            i += 1
-        return cls(mlp=mlp, classifier=(Tensor(arrays["head.cls.w"]), Tensor(arrays["head.cls.b"])))
+        """A constant head from the arrays head_layout() names; other arrays
+        are ignored. The widths are read off head.cls.w (hidden, n_classes);
+        ShapeMismatchError names the first array that is missing or does not
+        fit them."""
+        return cls(ad.constants(arrays, head_layout(*ad.matrix_shape(arrays, "head.cls.w"))))
 
 
 def init_head(n_classes: int, hidden: int = 32, dtype=np.float64, seed: int = 0) -> ToyTaskHead:
-    rng = np.random.default_rng(seed)
-
-    def affine(fan_in, fan_out):
-        bound = np.sqrt(1.0 / fan_in)
-        w = rng.uniform(-bound, bound, (fan_in, fan_out)).astype(dtype)
-        return Tensor(w, True), Tensor(np.zeros(fan_out, dtype=dtype), True)
-
-    return ToyTaskHead(mlp=[affine(3, hidden), affine(hidden, hidden)], classifier=affine(hidden, n_classes))
+    return ToyTaskHead(ad.init_tensors(head_layout(hidden, n_classes), seed, dtype))
 
 
 @dataclass(frozen=True)
@@ -217,6 +205,18 @@ def _split_accuracy(split: list[LabeledCloud], config, weights, head, check_subs
     return correct / len(split)
 
 
+def cloud_loss(cloud: PointCloud, label: int, config: CasNetConfig, weights: casnet.CasNetWeights, head: ToyTaskHead):
+    """The training objective of one cloud: the sampler's forward, the head on
+    its output, then task + alpha * subset + beta * cosine as the config
+    sets them. Returns the loss breakdown, the head's logits and the forward
+    cache."""
+    _, cache = casnet.forward(cloud, config, weights)
+    logits = head.forward(cache.p_sp)
+    task = ad.cross_entropy(logits, np.array([label]))
+    subset, cosine = subset_loss(cloud, cache.p_sp), cosine_loss(cache.soft, config.cosine_axis)
+    return total_loss(task, subset, cosine, config.alpha, config.beta), logits, cache
+
+
 def train(
     config: CasNetConfig,
     dataset: SyntheticDataset,
@@ -229,8 +229,10 @@ def train(
 
     ASSN uses the soft forward; AHSN uses the hard forward whose backward is
     the straight-through rule. The batch loss is the mean of per-cloud losses,
-    each cloud building its own graph. History records every epoch; with
-    early_stop_acc set, training stops once test accuracy reaches it.
+    each cloud building its own graph (see cloud_loss). History records every
+    epoch; with early_stop_acc set, training stops once test accuracy
+    reaches it. A parameter that is not finite after an Adam step stops
+    training with a PcsimpError naming its array.
 
     Training runs in float32, the precision checkpoints store and inference
     on float32 frames runs in: the weights start in float32 and the train and
@@ -247,7 +249,8 @@ def train(
         [LabeledCloud(PointCloud(it.cloud.points.astype(TRAIN_DTYPE)), it.label) for it in split]
         for split in (dataset.train, dataset.test)
     )
-    params = weights.parameters() + head.parameters()
+    named = {**weights.tensors, **head.tensors}
+    params = list(named.values())
     state = AdamState(params)
     rng = np.random.default_rng(config.seed + 2)
     history = TrainHistory()
@@ -264,17 +267,8 @@ def train(
                 p.zero_grad()
             batch_sums = np.zeros(4)
             for item in batch:
-                _, cache = casnet.forward(item.cloud, config, weights)
-                logits = head.forward(cache.p_sp)
+                breakdown, logits, cache = cloud_loss(item.cloud, item.label, config, weights, head)
                 train_hits += int(logits.data.argmax()) == item.label
-                task = ad.cross_entropy(logits, np.array([item.label]))
-                breakdown = total_loss(
-                    task,
-                    subset_loss(item.cloud, cache.p_sp),
-                    cosine_loss(cache.soft, config.cosine_axis),
-                    config.alpha,
-                    config.beta,
-                )
                 contribution = ad.scale(breakdown.total, 1.0 / len(batch))
                 if config.mode == "ahsn":
                     casnet.backward_ste(contribution, cache)
@@ -283,6 +277,9 @@ def train(
                 batch_sums += breakdown.values()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             adam_step(params, grads, state, lr)
+            for name, p in named.items():
+                if not np.isfinite(p.data).all():
+                    raise PcsimpError(f"{name} is not finite after an Adam step of epoch {epoch}")
             sums += batch_sums / len(batch)
             n_batches += 1
 
@@ -291,18 +288,7 @@ def train(
         check = config.mode == "ahsn" and (epoch % SUBSET_CHECK_EVERY == 0 or epoch == epochs - 1)
         test_acc = _split_accuracy(test_split, config, weights, head, SUBSET_CHECKS if check else 0)
         avg = sums / n_batches
-        history.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                total=avg[0],
-                task=avg[1],
-                subset=avg[2],
-                cosine=avg[3],
-                train_acc=train_acc,
-                test_acc=test_acc,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        history.epochs.append(EpochStats(epoch, *avg, train_acc, test_acc, time.perf_counter() - started))
         if early_stop_acc is not None and test_acc >= early_stop_acc:
             break
     return weights, head, history

@@ -192,8 +192,7 @@ def test_soft_matrix_closed_form_small_case():
     b1 = Tensor(np.array([0.0]))
     w2 = Tensor(np.array([[1.0, 2.0]]))
     weights = casnet.init_weights(config, 2)
-    weights.rho_hidden = (w1, b1)
-    weights.rho_out = w2
+    weights.tensors.update({"rho.hidden.w": w1, "rho.hidden.b": b1, "rho.out.w": w2})
     f = Tensor(np.array([[1.0], [2.0], [3.0]]))
     soft = casnet.soft_matrix(f, weights)[0].data
     logits = np.maximum(f.data @ w1.data, 0) @ w2.data
@@ -274,6 +273,41 @@ def test_weight_container_round_trip():
     rebuilt = casnet.CasNetWeights.from_arrays(arrays, prefix="sampler.")
     for a, b in zip(weights.parameters(), rebuilt.parameters()):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_layout_parameters_and_arrays_list_the_same_names_in_order(depth):
+    weights = casnet.init_weights(tiny_config(oa_layers=depth), 4)
+    shapes = casnet.layout(8, 8, 8, 4, depth)
+    assert list(weights.to_arrays()) == list(shapes)
+    assert [p.data.shape for p in weights.parameters()] == list(shapes.values())
+    assert [p.data is a for p, a in zip(weights.parameters(), weights.to_arrays().values())] == [True] * len(shapes)
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        pytest.param("oa.0.wk", None, "sampler.oa.0.wk is missing", id="missing-attention-array"),
+        pytest.param("rho.out.w", None, "sampler.rho.out.w is missing", id="missing-matrix-read-for-m"),
+        pytest.param("sigma.0.b", np.zeros(5, np.float32), r"sampler.sigma.0.b has shape \(5,\), expected \(8,\)", id="mis-shaped-bias"),
+        pytest.param("sigma.1.w", np.zeros(8, np.float32), r"sampler.sigma.1.w has shape \(8,\), expected a matrix", id="vector-for-a-matrix"),
+        pytest.param("rho.hidden.w", np.zeros((20, 8), np.float32), r"sampler.rho.hidden.w has shape \(20, 8\), expected \(16, 8\)", id="rows-not-depth-times-c"),
+    ],
+)
+def test_from_arrays_rejects_a_missing_or_mis_shaped_array_naming_it(name, value, match):
+    arrays = casnet.init_weights(tiny_config(oa_layers=2), 4, dtype=np.float32).to_arrays(prefix="sampler.")
+    if value is None:
+        del arrays["sampler." + name]
+    else:
+        arrays["sampler." + name] = value
+    with pytest.raises(ShapeMismatchError, match=match):
+        casnet.CasNetWeights.from_arrays(arrays, prefix="sampler.")
+
+
+def test_from_arrays_ignores_the_other_network():
+    weights = casnet.init_weights(tiny_config(), 4, dtype=np.float32)
+    arrays = {**weights.to_arrays(), "head.cls.w": np.zeros((2, 2), np.float32)}
+    assert list(casnet.CasNetWeights.from_arrays(arrays).to_arrays()) == list(weights.to_arrays())
 
 
 def test_backward_ste_requires_hard_cache():

@@ -191,6 +191,15 @@ def test_nnbench_flags_a_ball_query_with_reversed_rows(monkeypatch, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("radius", ["nan", "0", "-1"])
+def test_nnbench_rejects_a_bad_radius_before_printing(capsys, radius):
+    code = main(["nnbench", "--n", "64", "--k", "4", "--radius", radius])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: radius must be > 0\n"
+
+
 def test_gradcheck_ops(capsys):
     assert main(["gradcheck", "--ops"]) == 0
     out = capsys.readouterr().out
@@ -440,3 +449,49 @@ def test_sample_rejects_zero_chunks(cloud_file, tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sample_and_bench_take_the_seed_from_a_config_file(cloud_file, tmp_path, monkeypatch):
+    config = tmp_path / "casnet.cfg"
+    config.write_text("seed=5\n")
+    seeds = []
+    real = classic_samplers.random_sample
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda cloud, m, seed: seeds.append(seed) or real(cloud, m, seed))
+    sample = ["sample", "--input", str(cloud_file), "--method", "rs", "--ratio", "2", "--output", str(tmp_path / "o.xyz")]
+    assert main([*sample, "--config", str(config)]) == 0
+    assert main([*sample, "--config", str(config), "--seed", "7"]) == 0
+    assert main(sample) == 0
+    bench = ["bench", "--input", str(_small_clouds(tmp_path)), "--methods", "rs", "--repeats", "1"]
+    assert main([*bench, "--config", str(config)]) == 0
+    assert seeds == [5, 7, 0, 5]
+
+
+def test_bench_rejects_a_mis_shaped_head_before_timing_with_one_line(tmp_path, monkeypatch, capsys):
+    data = _small_clouds(tmp_path)
+    arrays = training.init_head(3, dtype=np.float32).to_arrays()
+    arrays["head.mlp.1.w"] = np.zeros((16, 32), dtype=np.float32)
+    head = tmp_path / "head.pcw"
+    ad.save_arrays(head, arrays)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("c.xyz,0\n")
+    calls = []
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs"))
+    code = main(["bench", "--input", str(data), "--methods", "rs", "--head", str(head), "--labels", str(labels)])
+    captured = capsys.readouterr()
+    assert code == 1 and calls == [] and captured.out == ""
+    assert captured.err == f"error: {head}: head.mlp.1.w has shape (16, 32), expected (32, 32)\n"
+
+
+def test_train_stops_with_one_line_when_a_parameter_diverges(tmp_path, monkeypatch, capsys):
+    real = training.adam_step
+
+    def poisoning(params, grads, state, lr):
+        real(params, grads, state, lr)
+        params[0].data[0, 0] = np.inf
+
+    monkeypatch.setattr(training, "adam_step", poisoning)
+    out = tmp_path / "m.pcw"
+    code = main(["train", *TINY_TRAIN, "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: sigma.0.w is not finite after an Adam step of epoch 0\n"
+    assert not out.exists()

@@ -17,7 +17,6 @@ from pcsimp.io import (
     read_kitti_bin,
     read_xyz,
     write_kitti_bin,
-    write_report,
     write_xyz,
 )
 
@@ -125,10 +124,8 @@ def _records():
     ]
 
 
-def test_csv_report_layout(tmp_path):
-    path = tmp_path / "report.csv"
-    write_report(_records()[:1], "csv", path)
-    lines = path.read_text().splitlines()
+def test_csv_report_layout():
+    lines = format_report(_records()[:1], "csv").splitlines()
     assert len(lines) == 2
     assert lines[0] == "method,n_in,n_out,oa,k,t_batch_s,t_sample_s,acc,prec,rec,f1"
     assert lines[1] == "rs,1024,512,,,0.000540,0.000045,,,,"

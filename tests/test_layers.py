@@ -258,8 +258,8 @@ def test_hard_rows_come_from_the_logits_not_the_rounded_softmax():
     # value, whose argmax would be the lower row; the logits pick the larger
     config = config_of(oa_layers=1, c=1, score_hidden=1, m=1)
     weights = casnet.init_weights(config, 1, dtype=np.float32)
-    weights.rho_hidden = (Tensor(np.ones((1, 1), np.float32)), Tensor(np.zeros(1, np.float32)))
-    weights.rho_out = Tensor(np.ones((1, 1), np.float32))
+    ones = Tensor(np.ones((1, 1), np.float32))
+    weights.tensors.update({"rho.hidden.w": ones, "rho.hidden.b": Tensor(np.zeros(1, np.float32)), "rho.out.w": ones})
     low = np.float32(0.1)
     f = Tensor(np.array([[low], [np.nextafter(low, np.float32(1))]]))
     soft, rows = casnet.soft_matrix(f, weights)

@@ -4,7 +4,7 @@ import pytest
 from pcsimp import autodiff as ad
 from pcsimp import casnet, training
 from pcsimp.autodiff import Tensor
-from pcsimp.core import CasNetConfig, EmptySplitError, PointCloud
+from pcsimp.core import CasNetConfig, EmptySplitError, PcsimpError, PointCloud, ShapeMismatchError
 from pcsimp.training import (
     AdamState,
     DatasetSpec,
@@ -190,6 +190,44 @@ def test_head_serialization_round_trip():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(20, 3)).astype(np.float32)
     assert rebuilt.predict(pts) == head.predict(pts)
+
+
+def test_head_layout_parameters_and_arrays_list_the_same_names_in_order():
+    head = init_head(4, hidden=8, dtype=np.float32)
+    shapes = training.head_layout(8, 4)
+    assert list(head.to_arrays()) == list(shapes)
+    assert [p.data.shape for p in head.parameters()] == list(shapes.values())
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        pytest.param("head.mlp.1.b", None, "head.mlp.1.b is missing", id="missing-bias"),
+        pytest.param("head.cls.w", None, "head.cls.w is missing", id="missing-classifier"),
+        pytest.param("head.mlp.1.w", np.zeros((16, 32), np.float32), r"head.mlp.1.w has shape \(16, 32\), expected \(32, 32\)", id="mis-shaped-hidden-layer"),
+        pytest.param("head.cls.b", np.zeros(4, np.float32), r"head.cls.b has shape \(4,\), expected \(3,\)", id="mis-shaped-classifier-bias"),
+    ],
+)
+def test_head_from_arrays_rejects_a_missing_or_mis_shaped_array_naming_it(name, value, match):
+    arrays = init_head(3, dtype=np.float32).to_arrays()
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    with pytest.raises(ShapeMismatchError, match=match):
+        training.ToyTaskHead.from_arrays(arrays)
+
+
+def test_a_parameter_that_diverges_stops_training_naming_its_array(monkeypatch):
+    real = training.adam_step
+
+    def poisoning(params, grads, state, lr):
+        real(params, grads, state, lr)
+        params[11].data[0, 0] = np.nan  # rho.out.w: the last of the 12 sampler arrays at oa=1
+
+    monkeypatch.setattr(training, "adam_step", poisoning)
+    with pytest.raises(PcsimpError, match=r"^rho.out.w is not finite after an Adam step of epoch 0$"):
+        _tiny_train("ahsn", epochs=1)
 
 
 def test_train_samples_each_test_cloud_once_per_epoch(monkeypatch):
