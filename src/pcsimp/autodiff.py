@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    BadLabelError,
-    IoFailureError,
-    NonScalarRootError,
-    ShapeMismatchError,
-)
+from .core import ConfigError, IoFailureError, ShapeMismatchError
 
 WEIGHTS_FORMAT_VERSION = 1
 
@@ -86,7 +81,7 @@ def custom(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable[[np.ndarra
 def backward(root: Tensor) -> None:
     """Propagate d(root)/d(tensor) into .grad of every reachable tensor."""
     if root.data.size != 1:
-        raise NonScalarRootError(f"backward root must be scalar, got shape {root.shape}")
+        raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # iterative topological order over the parent DAG
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -231,7 +226,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     b, n_classes = logits.data.shape
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise BadLabelError(f"labels must lie in [0, {n_classes})")
+        raise ConfigError(f"labels must lie in [0, {n_classes})")
     top = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - top)
     total = e.sum(axis=1, keepdims=True)

@@ -20,10 +20,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .core import (
     CasNetConfig,
-    IndexOutOfRangeError,
+    ConfigError,
     NeighborTable,
-    NoCacheError,
     PointCloud,
+    SampleResult,
     SENTINEL,
     ShapeMismatchError,
 )
@@ -155,7 +155,7 @@ def group_features(cloud: PointCloud, neighbors: NeighborTable) -> np.ndarray:
     idx = neighbors.indices
     real = idx != SENTINEL
     if idx[real].size and (idx[real].min() < 0 or idx[real].max() >= cloud.n):
-        raise IndexOutOfRangeError("neighbor index outside cloud")
+        raise ShapeMismatchError("neighbor index outside cloud")
     safe = np.where(real, idx, 0)
     grouped = pts[safe] - pts[:, None, :]
     grouped[~real] = 0.0
@@ -438,11 +438,11 @@ def backward_ste(loss_root: Tensor, cache: ForwardCache) -> None:
     everywhere and the straight-through gradient is deliberately not that.
     """
     if cache.rows is None:
-        raise NoCacheError("backward_ste requires an AHSN forward cache")
+        raise ConfigError("backward_ste requires an AHSN forward cache")
     ad.backward(loss_root)
 
 
-def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, np.ndarray | None]:
+def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> SampleResult:
     """Inference through the layers of forward(), in the cloud's dtype.
 
     The weights are used as constants, so no layer keeps an activation even
@@ -455,5 +455,5 @@ def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> t
     *_, f_concat = _encode(cloud, config, weights)
     soft, rows = soft_matrix(f_concat, weights, keep_soft=config.mode == "assn")
     if soft is None:
-        return PointCloud(cloud.points[rows]), rows
-    return PointCloud(soft.data.T @ cloud.points), None
+        return SampleResult(PointCloud(cloud.points[rows]), rows)
+    return SampleResult(PointCloud(soft.data.T @ cloud.points), None)

@@ -2,37 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    BadChunkCountError,
-    BadStartError,
-    MTooLargeError,
-    PointCloud,
-)
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    """Selected row indices plus the extracted sub-cloud (an exact row subset)."""
-
-    indices: np.ndarray
-    cloud: PointCloud
-
-
-def _check_m(m: int, n: int) -> None:
-    if not 1 <= m <= n:
-        raise MTooLargeError(f"m={m} outside [1, {n}]")
+from .core import ConfigError, PointCloud, SampleResult, check_m
 
 
 def random_sample(cloud: PointCloud, m: int, seed: int) -> SampleResult:
     """m distinct indices drawn uniformly without replacement, deterministic per seed."""
-    _check_m(m, cloud.n)
+    check_m(m, cloud.n)
     rng = np.random.default_rng(seed)
     idx = rng.choice(cloud.n, size=m, replace=False)
-    return SampleResult(idx, PointCloud(cloud.points[idx]))
+    return SampleResult(PointCloud(cloud.points[idx]), idx)
 
 
 def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
@@ -45,9 +25,9 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
     """
     pts = cloud.points
     n = pts.shape[0]
-    _check_m(m, n)
+    check_m(m, n)
     if not 0 <= start < n:
-        raise BadStartError(f"start={start} outside [0, {n})")
+        raise ConfigError(f"start={start} outside [0, {n})")
     selected = np.empty(m, dtype=np.int64)
     selected[0] = start
     diff = pts - pts[start]
@@ -60,7 +40,7 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
         d_j = (diff * diff).sum(axis=1)
         np.minimum(min_d, d_j, out=min_d)
         min_d[j] = -1
-    return SampleResult(selected, PointCloud(pts[selected]))
+    return SampleResult(PointCloud(pts[selected]), selected)
 
 
 def chunk_sizes(total: int, parts: int) -> list[int]:
@@ -77,9 +57,9 @@ def fps_chunked(cloud: PointCloud, m: int, chunks: int) -> SampleResult:
     global farthest-point guarantee for a roughly chunk-fold speedup.
     """
     n = cloud.n
-    _check_m(m, n)
+    check_m(m, n)
     if not 1 <= chunks <= n:
-        raise BadChunkCountError(f"chunks={chunks} outside [1, {n}]")
+        raise ConfigError(f"chunks={chunks} outside [1, {n}]")
     sizes = chunk_sizes(n, chunks)
     quotas = chunk_sizes(m, chunks)
     picked = []
@@ -90,5 +70,5 @@ def fps_chunked(cloud: PointCloud, m: int, chunks: int) -> SampleResult:
             picked.append(fps(part, quota, start=0).indices + offset)
         offset += size
     idx = np.concatenate(picked)
-    return SampleResult(idx, PointCloud(cloud.points[idx]))
+    return SampleResult(PointCloud(cloud.points[idx]), idx)
 

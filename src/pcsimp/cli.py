@@ -1,7 +1,7 @@
 """Command-line entry point: sample, bench, nnbench, train, gradcheck.
 
-Exit codes: 0 success, 1 validation error (including unknown flags),
-2 IO error.
+Exit codes: 0 success, 1 a bad flag or a PcsimpError, 2 an IoFailureError
+(a ParseFailureError among them) or an OSError.
 """
 
 from __future__ import annotations
@@ -19,16 +19,19 @@ from . import casnet, classic_samplers, nnsearch, training
 from .autodiff import Tensor
 from .core import (
     BACKENDS,
+    COSINE_AXES,
+    MODES,
     CasNetConfig,
-    ConfigError,
     IoFailureError,
-    MalformedLengthError,
     ParseFailureError,
     PcsimpError,
     PointCloud,
     RunRecord,
     SENTINEL,
     ShapeMismatchError,
+    at_least,
+    check_radius,
+    one_of,
     ratio_to_count,
     read_text,
 )
@@ -79,12 +82,14 @@ def _positive_ints(text: str) -> list[int]:
 
 def _config_from_args(args) -> CasNetConfig:
     """The --config file's settings (or the defaults), overridden by every
-    flag given: each flag's dest is the name of the field it sets."""
+    flag given: each flag's dest is the name of the field it sets. The seed
+    is checked here, since RS draws from it without validating the config."""
     cfg = CasNetConfig.from_file(args.config) if getattr(args, "config", None) else CasNetConfig()
     for f in fields(CasNetConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+    at_least("seed", cfg.seed, 0)
     return cfg
 
 
@@ -102,30 +107,32 @@ def _read_sampler(arrays: dict) -> casnet.CasNetWeights:
     return casnet.CasNetWeights.from_arrays(arrays, prefix)
 
 
-def _casnet_setup(config: CasNetConfig, weights, m: int, what: str):
-    """Config and weights for m output points, built before any timing starts."""
+def _casnet_setup(config: CasNetConfig, weights, n: int, m: int, what: str):
+    """Config and weights for m of n points, built before any timing starts.
+    Weights drawn here follow a config validated first; loaded ones must
+    fit it, and casnet.sample validates it."""
     cfg = CasNetConfig(**{**config.__dict__, "m": m, "ratio": None})
-    w = weights if weights is not None else casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
-    w.check_fits(cfg.oa_layers, m, f"{what}: ")
-    return cfg, w
+    if weights is None:
+        cfg.validate(n)
+        weights = casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
+    weights.check_fits(cfg.oa_layers, m, f"{what}: ")
+    return cfg, weights
 
 
 def _sampler_fn(method: str, args, casnet_setups: dict):
-    """Returns f(cloud, m, seed) -> (PointCloud, indices or None).
+    """Returns f(cloud, m, seed) -> SampleResult for one of METHODS.
 
     casnet_setups maps each m the learned sampler will be asked for to its
     (config, weights) pair from `_casnet_setup`.
     """
     if method == "rs":
-        return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.random_sample(cloud, m, seed))
+        return classic_samplers.random_sample
     if method == "fps":
-        return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.fps(cloud, m, 0))
+        return lambda cloud, m, seed: classic_samplers.fps(cloud, m, 0)
     if method == "fps-chunked":
         chunks = args.chunks
-        return lambda cloud, m, seed: (lambda r: (r.cloud, r.indices))(classic_samplers.fps_chunked(cloud, m, chunks))
-    if method == "casnet":
-        return lambda cloud, m, seed: casnet.sample(cloud, *casnet_setups[m])
-    raise PcsimpError(f"unknown method {method!r}")
+        return lambda cloud, m, seed: classic_samplers.fps_chunked(cloud, m, chunks)
+    return lambda cloud, m, seed: casnet.sample(cloud, *casnet_setups[m])
 
 
 def cmd_sample(args) -> int:
@@ -136,7 +143,7 @@ def cmd_sample(args) -> int:
     if args.method == "casnet":
         if not args.weights:
             raise PcsimpError("casnet requires --weights")
-        setups[m] = _casnet_setup(config, _load_weights(args.weights, _read_sampler), m, args.input)
+        setups[m] = _casnet_setup(config, _load_weights(args.weights, _read_sampler), cloud.n, m, args.input)
     fn = _sampler_fn(args.method, args, setups)
 
     started = time.perf_counter()
@@ -200,7 +207,7 @@ def cmd_bench(args) -> int:
             for name, cloud in clouds:
                 m = ratio_to_count(cloud.n, ratio)
                 if m not in setups:
-                    setups[m] = _casnet_setup(config, weights, m, f"{name} at ratio {ratio}")
+                    setups[m] = _casnet_setup(config, weights, cloud.n, m, f"{name} at ratio {ratio}")
 
     records = []
     for method in methods:
@@ -252,10 +259,9 @@ def cmd_bench(args) -> int:
 def cmd_nnbench(args) -> int:
     backends = args.backends.split(",")
     for b in backends:
-        if b not in BACKENDS:
-            raise PcsimpError(f"unknown backend {b!r}")
-    if not args.radius > 0:  # NaN fails; inf means an unbounded radius
-        raise ConfigError("radius must be > 0")
+        one_of("backend", b, BACKENDS)
+    check_radius(args.radius)
+    at_least("seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>6} {'k':>4} {'backend':<15} {'time_s':>10}  verified")
     failures = 0
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, help="ball query radius")
         p.add_argument("--backend", choices=BACKENDS)
         if include_mode:
-            p.add_argument("--mode", choices=("assn", "ahsn"))
+            p.add_argument("--mode", choices=MODES)
 
     p = sub.add_parser("sample", help="downsample one cloud")
     p.add_argument("--input", required=True)
@@ -484,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--count", dest="m", type=int, help="output points m")
-    p.add_argument("--cosine-axis", dest="cosine_axis", choices=("rows", "columns"))
+    p.add_argument("--cosine-axis", dest="cosine_axis", choices=COSINE_AXES)
     p.add_argument("--train-per-class", type=_positive_int, default=100)
     p.add_argument("--test-per-class", type=_positive_int, default=30)
     p.add_argument("--points", type=int, default=256)
@@ -509,7 +515,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.handler(args)
-    except (IoFailureError, MalformedLengthError, ParseFailureError, OSError) as e:
+    except (IoFailureError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
     except PcsimpError as e:

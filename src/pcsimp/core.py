@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,16 @@ COSINE_AXES = ("rows", "columns")
 
 
 class PcsimpError(Exception):
-    """Base class for all validation and processing errors."""
+    """Base class of the package's errors. The CLI prints each as one line
+    and exits 2 for an IoFailureError, 1 for any other."""
+
+
+class ConfigError(PcsimpError):
+    """A parameter outside the range its rule allows."""
+
+
+class ShapeMismatchError(PcsimpError):
+    pass
 
 
 class EmptyCloudError(PcsimpError):
@@ -29,70 +39,45 @@ class NonFiniteCoordinateError(PcsimpError):
         self.row = row
 
 
-class InvalidRatioError(PcsimpError):
-    pass
-
-
-class KTooLargeError(PcsimpError):
-    pass
-
-
-class MTooLargeError(PcsimpError):
-    pass
-
-
-class BadStartError(PcsimpError):
-    pass
-
-
-class BadChunkCountError(PcsimpError):
-    pass
-
-
-class ShapeMismatchError(PcsimpError):
-    pass
-
-
-class IndexOutOfRangeError(PcsimpError):
-    pass
-
-
-class BadLabelError(PcsimpError):
-    pass
-
-
-class NonScalarRootError(PcsimpError):
-    pass
-
-
-class DegenerateAxisError(PcsimpError):
-    pass
-
-
-class EmptySplitError(PcsimpError):
-    pass
-
-
-class NoCacheError(PcsimpError):
-    pass
-
-
 class IoFailureError(PcsimpError):
-    pass
+    """A file that cannot be read, written or decoded: the CLI exits 2."""
 
 
-class MalformedLengthError(PcsimpError):
-    pass
-
-
-class ParseFailureError(PcsimpError):
+class ParseFailureError(IoFailureError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class ConfigError(PcsimpError):
-    pass
+def at_least(name: str, value, low) -> None:
+    """ConfigError unless value >= low."""
+    if not value >= low:
+        raise ConfigError(f"{name} must be >= {low}")
+
+
+def one_of(name: str, value, choices: tuple) -> None:
+    """ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}")
+
+
+def check_radius(radius: float) -> None:
+    """ConfigError unless radius > 0: NaN fails; inf means an unbounded radius."""
+    if not radius > 0:
+        raise ConfigError("radius must be > 0")
+
+
+def check_k(k: int, n: int) -> None:
+    """ConfigError unless 1 <= k <= n."""
+    at_least("k", k, 1)
+    if k > n:
+        raise ConfigError(f"k={k} exceeds cloud size {n}")
+
+
+def check_m(m: int, n: int) -> None:
+    """ConfigError unless 1 <= m <= n."""
+    if not 1 <= m <= n:
+        raise ConfigError(f"m={m} outside [1, {n}]")
 
 
 def read_text(path: str | Path) -> str:
@@ -136,6 +121,14 @@ class PointCloud:
         return self.n
 
 
+class SampleResult(NamedTuple):
+    """A sampler's output cloud and the input rows it copies; indices is None
+    for a soft (ASSN) sample, whose points are blends rather than rows."""
+
+    cloud: PointCloud
+    indices: np.ndarray | None
+
+
 @dataclass(frozen=True)
 class NeighborTable:
     """n-by-k index table; rows list neighbors nearest-first, -1 pads absent slots."""
@@ -172,26 +165,18 @@ class CasNetConfig:
     cosine_axis: str = "rows"
 
     def validate(self, n: int) -> None:
-        """Raise ConfigError (or KTooLargeError) unless the config fits an n-point cloud."""
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.oa_layers < 1:
-            raise ConfigError("oa_layers must be >= 1")
-        if not self.radius > 0:  # NaN fails; inf means an unbounded radius
-            raise ConfigError("radius must be > 0")
+        """Raise ConfigError unless the config fits an n-point cloud."""
+        check_k(self.k, n)
+        for name in ("oa_layers", "c", "embed_hidden", "score_hidden"):
+            at_least(name, getattr(self, name), 1)
+        at_least("seed", self.seed, 0)
+        check_radius(self.radius)
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ConfigError("loss weights must be finite and >= 0")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if self.cosine_axis not in COSINE_AXES:
-            raise ConfigError(f"cosine_axis must be one of {COSINE_AXES}")
-        if self.k > n:
-            raise KTooLargeError(f"k={self.k} exceeds cloud size {n}")
-        m = self.output_count(n)
-        if not 1 <= m <= n:
-            raise ConfigError(f"m={m} outside [1, {n}]")
+        one_of("backend", self.backend, BACKENDS)
+        one_of("mode", self.mode, MODES)
+        one_of("cosine_axis", self.cosine_axis, COSINE_AXES)
+        check_m(self.output_count(n), n)
 
     def output_count(self, n: int) -> int:
         if self.m is not None:
@@ -235,7 +220,7 @@ class CasNetConfig:
 def ratio_to_count(n: int, ratio: int) -> int:
     """Output size for an n-point cloud at downsampling ratio D (floor division)."""
     if ratio is None or ratio < 1 or n < ratio:
-        raise InvalidRatioError(f"ratio {ratio} invalid for n={n}")
+        raise ConfigError(f"ratio {ratio} invalid for n={n}")
     return n // ratio
 
 

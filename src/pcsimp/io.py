@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     EmptyCloudError,
     IoFailureError,
-    MalformedLengthError,
     ParseFailureError,
     PcsimpError,
     PointCloud,
@@ -31,15 +30,15 @@ REPORT_COLUMNS = tuple(f.name for f in fields(RunRecord))
 def read_kitti_bin(path: str | Path) -> PointCloud:
     """Parse consecutive 16-byte records; keep xyz, drop intensity.
 
-    Raises IoFailureError (unreadable), MalformedLengthError (size not a
-    whole number of records), EmptyCloudError or NonFiniteCoordinateError.
+    Raises IoFailureError (unreadable, or a size that is not a whole number
+    of records), EmptyCloudError or NonFiniteCoordinateError.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise IoFailureError(str(e)) from e
     if len(raw) % KITTI_RECORD_BYTES != 0:
-        raise MalformedLengthError(f"{path}: size {len(raw)} is not a multiple of {KITTI_RECORD_BYTES}")
+        raise IoFailureError(f"{path}: size {len(raw)} is not a multiple of {KITTI_RECORD_BYTES}")
     if len(raw) == 0:
         raise EmptyCloudError(f"{path}: empty file")
     records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import DegenerateAxisError, EmptyCloudError, PointCloud
+from .core import COSINE_AXES, EmptyCloudError, PointCloud, ShapeMismatchError, one_of
 
 
 def _as_tensor(x) -> Tensor:
@@ -50,14 +50,13 @@ def cosine_loss(soft, axis: str = "rows") -> Tensor:
     Large values mean many near-parallel vectors, i.e. duplicated selections.
     Zero vectors contribute zero by convention.
     """
+    one_of("cosine_axis", axis, COSINE_AXES)
     v = _as_tensor(soft)
     if axis == "columns":
         v = ad.transpose(v)
-    elif axis != "rows":
-        raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
     p = v.data.shape[0]
     if p < 2:
-        raise DegenerateAxisError("need at least two vectors along the chosen axis")
+        raise ShapeMismatchError("need at least two vectors along the chosen axis")
     gram = ad.matmul(v, ad.transpose(v))
     sq_norms = ad.tsum(ad.mul(v, v), axis=1, keepdims=True)
     # shift (near-)zero norms to ~1 (constant, carries no gradient): their

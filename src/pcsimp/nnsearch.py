@@ -11,13 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    KTooLargeError,
-    NeighborTable,
-    PointCloud,
-    SENTINEL,
-)
+from .core import BACKENDS, NeighborTable, PointCloud, SENTINEL, check_k, check_radius, one_of
 
 # ball_query ranks runs of grid cells together up to about this many distances
 _BATCH = 1 << 15
@@ -26,13 +20,6 @@ _BATCH = 1 << 15
 def _block_rows(n: int, width: int) -> int:
     # keep each distance block around 32 MB
     return max(1, min(n, (1 << 22) // max(width, 1)))
-
-
-def _check_k(n: int, k: int) -> None:
-    if k > n:
-        raise KTooLargeError(f"k={k} exceeds cloud size {n}")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
 
 
 def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int, out: np.ndarray) -> None:
@@ -95,7 +82,7 @@ def knn_bruteforce(cloud: PointCloud, k: int) -> NeighborTable:
     """Exact k nearest neighbors, every point a candidate of every row."""
     pts = cloud.points
     n = pts.shape[0]
-    _check_k(n, k)
+    check_k(k, n)
     out = np.empty((n, k), dtype=np.int64)
     _rank_everyone(pts, np.inf, k, out)
     return NeighborTable(out)
@@ -111,11 +98,10 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     of a run of consecutive cells share the union of those lists as
     candidates, and the result is index-identical to ranking the whole cloud.
     """
-    if not radius > 0:  # NaN fails
-        raise ConfigError("radius must be > 0")
+    check_radius(radius)
     pts = cloud.points
     n = pts.shape[0]
-    _check_k(n, k)
+    check_k(k, n)
     r2 = np.asarray(radius, dtype=pts.dtype) ** 2
     out = np.empty((n, k), dtype=np.int64)
 
@@ -164,8 +150,7 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
 
 def find_neighbors(cloud: PointCloud, backend: str, k: int, radius: float) -> NeighborTable:
     """Dispatch to the configured backend."""
+    one_of("backend", backend, BACKENDS)
     if backend == "ball_query":
         return ball_query(cloud, radius, k)
-    if backend == "knn_bruteforce":
-        return knn_bruteforce(cloud, k)
-    raise ConfigError(f"unknown backend {backend!r}")
+    return knn_bruteforce(cloud, k)

@@ -4,14 +4,14 @@ three-class dataset, the joint training loop, and classification metrics."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import casnet
 from .autodiff import Tensor
-from .core import CasNetConfig, EmptySplitError, PcsimpError, PointCloud, ShapeMismatchError
+from .core import CasNetConfig, ConfigError, PcsimpError, PointCloud, ShapeMismatchError
 from .losses import cosine_loss, subset_loss, total_loss
 
 CLASS_NAMES = ("sphere", "cube", "plane")
@@ -167,16 +167,21 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
     return SyntheticDataset(train=train, test=test, class_names=CLASS_NAMES, spec=spec)
 
 
+def _csv(spec: str):
+    """A field written to the history CSV in the format `spec`."""
+    return field(metadata={"csv": spec})
+
+
 @dataclass
 class EpochStats:
-    epoch: int
-    total: float
-    task: float
-    subset: float
-    cosine: float
-    train_acc: float
-    test_acc: float
-    seconds: float
+    epoch: int = _csv("d")
+    total: float = _csv(".6f")
+    task: float = _csv(".6f")
+    subset: float = _csv(".6f")
+    cosine: float = _csv(".6f")
+    train_acc: float = _csv(".4f")
+    test_acc: float = _csv(".4f")
+    seconds: float = _csv(".3f")
 
 
 @dataclass
@@ -184,12 +189,10 @@ class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["epoch,total,task,subset,cosine,train_acc,test_acc,seconds"]
-        for e in self.epochs:
-            lines.append(
-                f"{e.epoch},{e.total:.6f},{e.task:.6f},{e.subset:.6f},{e.cosine:.6f},"
-                f"{e.train_acc:.4f},{e.test_acc:.4f},{e.seconds:.3f}"
-            )
+        """One row per epoch under a header of EpochStats' field names."""
+        columns = fields(EpochStats)
+        lines = [",".join(f.name for f in columns)]
+        lines += [",".join(format(getattr(e, f.name), f.metadata["csv"]) for f in columns) for e in self.epochs]
         return "\n".join(lines) + "\n"
 
 
@@ -304,7 +307,7 @@ def classification_metrics(y_true: np.ndarray, y_pred: np.ndarray, n_classes: in
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.size == 0:
-        raise EmptySplitError("cannot evaluate an empty split")
+        raise ConfigError("cannot evaluate an empty split")
     acc = float((y_true == y_pred).mean())
     precisions, recalls, f1s = [], [], []
     for c in range(n_classes):

@@ -9,7 +9,7 @@ from pcsimp import autodiff as ad
 from pcsimp import casnet, classic_samplers, nnsearch, training
 from pcsimp.autodiff import Tensor
 from pcsimp.cli import _gradcheck_op_cases, end_to_end_assn_check
-from pcsimp.core import CasNetConfig, MalformedLengthError, PointCloud
+from pcsimp.core import CasNetConfig, IoFailureError, PointCloud
 from pcsimp.io import read_kitti_bin, write_kitti_bin
 from pcsimp.losses import cosine_loss, subset_loss
 
@@ -260,7 +260,7 @@ def test_criterion_9_kitti_round_trip(tmp_path):
     rejected = False
     try:
         read_kitti_bin(bad)
-    except MalformedLengthError:
+    except IoFailureError:
         rejected = True
     report(
         "criterion 9 kitti round trip",

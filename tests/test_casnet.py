@@ -6,9 +6,10 @@ from pcsimp import casnet
 from pcsimp.autodiff import Tensor
 from pcsimp.core import (
     CasNetConfig,
+    ConfigError,
     NeighborTable,
-    NoCacheError,
     PointCloud,
+    SampleResult,
     ShapeMismatchError,
 )
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
@@ -233,6 +234,15 @@ def test_forward_ahsn_output_is_bitwise_subset():
     assert np.array_equal(cache.rows, casnet.sample(cloud, config, weights)[1])
 
 
+@pytest.mark.parametrize("mode", ["ahsn", "assn"])
+def test_sample_returns_the_baselines_result_type(mode):
+    config = tiny_config(mode=mode)
+    cloud = random_cloud(16, 23)
+    out = casnet.sample(cloud, config, casnet.init_weights(config, 4))
+    assert isinstance(out, SampleResult) and out.cloud is out[0] and out.indices is out[1]
+    assert (out.indices is None) == (mode == "assn")
+
+
 def test_forward_cache_shapes():
     config = tiny_config(oa_layers=2, k=3)
     cloud = random_cloud(12, 24)
@@ -315,7 +325,7 @@ def test_backward_ste_requires_hard_cache():
     cloud = random_cloud(10, 25)
     weights = casnet.init_weights(config, 4)
     _, cache = casnet.forward(cloud, config, weights)
-    with pytest.raises(NoCacheError):
+    with pytest.raises(ConfigError, match=r"^backward_ste requires an AHSN forward cache$"):
         casnet.backward_ste(Tensor(np.asarray(0.0)), cache)
 
 

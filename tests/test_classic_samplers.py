@@ -7,7 +7,7 @@ from pcsimp.classic_samplers import (
     fps_chunked,
     random_sample,
 )
-from pcsimp.core import BadChunkCountError, BadStartError, MTooLargeError, PointCloud
+from pcsimp.core import ConfigError, PointCloud, SampleResult
 
 
 def fps_oracle(pts, m, start):
@@ -49,7 +49,7 @@ def test_random_sample_frequencies_are_uniform():
 
 
 def test_random_sample_rejects_m_above_n():
-    with pytest.raises(MTooLargeError):
+    with pytest.raises(ConfigError, match=r"^m=4 outside \[1, 3\]$"):
         random_sample(PointCloud(np.zeros((3, 3))), 4, seed=0)
 
 
@@ -87,7 +87,7 @@ def test_fps_matches_recompute_oracle():
 def test_fps_deterministic_and_start_validated():
     cloud = PointCloud(np.random.default_rng(3).normal(size=(30, 3)))
     assert np.array_equal(fps(cloud, 10, 2).indices, fps(cloud, 10, 2).indices)
-    with pytest.raises(BadStartError):
+    with pytest.raises(ConfigError, match=r"^start=30 outside \[0, 30\)$"):
         fps(cloud, 5, start=30)
 
 
@@ -119,7 +119,7 @@ def test_fps_chunked_composes_per_chunk_runs():
 
 
 def test_fps_chunked_rejects_too_many_chunks():
-    with pytest.raises(BadChunkCountError):
+    with pytest.raises(ConfigError, match=r"^chunks=5 outside \[1, 4\]$"):
         fps_chunked(PointCloud(np.zeros((4, 3))), 2, 5)
 
 
@@ -161,3 +161,12 @@ def test_fps_spreads_better_than_random_sampling():
         r = min_pairwise(random_sample(cloud, 32, seed).cloud.points)
         wins += f >= r
     assert wins >= 8
+
+
+def test_every_baseline_returns_the_cloud_then_its_rows():
+    cloud = PointCloud(np.random.default_rng(4).normal(size=(40, 3)))
+    for out in (random_sample(cloud, 8, 0), fps(cloud, 8, 0), fps_chunked(cloud, 8, 2)):
+        assert isinstance(out, SampleResult) and SampleResult._fields == ("cloud", "indices")
+        sampled, rows = out
+        assert sampled is out.cloud and rows is out.indices
+        assert np.array_equal(sampled.points, cloud.points[rows])

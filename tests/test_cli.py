@@ -495,3 +495,74 @@ def test_train_stops_with_one_line_when_a_parameter_diverges(tmp_path, monkeypat
     assert code == 1
     assert capsys.readouterr().err == "error: sigma.0.w is not finite after an Adam step of epoch 0\n"
     assert not out.exists()
+
+
+def _one_line(capsys, code, expected_code, line):
+    """The command exited with expected_code, wrote nothing to stdout and
+    exactly `line` to stderr."""
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (expected_code, "", line + "\n")
+
+
+# one case per error class folded into ConfigError, ShapeMismatchError or
+# IoFailureError that the CLI can reach; {c} is a 64-point cloud, {t} a
+# 100-byte .bin, {o} an output path
+FOLDED_CLASS_CASES = {
+    "k-above-n": (["bench", "--input", "{d}", "--methods", "casnet", "--k", "100", "--oa", "1"], 1, "error: k=100 exceeds cloud size 64"),
+    "m-above-n": (["sample", "--input", "{c}", "--method", "fps", "--count", "100", "--output", "{o}"], 1, "error: m=100 outside [1, 64]"),
+    "ratio-above-n": (["sample", "--input", "{c}", "--method", "rs", "--ratio", "100", "--output", "{o}"], 1, "error: ratio 100 invalid for n=64"),
+    "zero-chunks": (["sample", "--input", "{c}", "--method", "fps-chunked", "--chunks", "0", "--count", "8", "--output", "{o}"], 1, "error: chunks=0 outside [1, 64]"),
+    "one-column-cosine": (["train", *TINY_TRAIN, "--count", "1", "--cosine-axis", "columns", "--out", "{o}"], 1, "error: need at least two vectors along the chosen axis"),
+    "truncated-bin": (["sample", "--input", "{t}", "--method", "fps", "--count", "1", "--output", "{o}"], 2, "io error: {t}: size 100 is not a multiple of 16"),
+}
+
+
+@pytest.mark.parametrize("argv, expected_code, line", FOLDED_CLASS_CASES.values(), ids=FOLDED_CLASS_CASES)
+def test_each_folded_error_class_keeps_its_exit_code_and_line(tmp_path, capsys, argv, expected_code, line):
+    data = _small_clouds(tmp_path)
+    truncated = tmp_path / "t.bin"
+    truncated.write_bytes(bytes(100))
+    paths = {"c": data / "c.xyz", "d": data, "t": truncated, "o": tmp_path / "out.xyz"}
+    code = main([a.format(**paths) for a in argv])
+    _one_line(capsys, code, expected_code, line.format(**paths))
+    assert not paths["o"].exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", *TINY_TRAIN, "--seed", "-1", "--out", "{o}"],
+        ["bench", "--input", "{d}", "--methods", "rs", "--seed", "-1"],
+        ["nnbench", "--n", "64", "--seed", "-1"],
+        ["sample", "--input", "{c}", "--method", "fps", "--count", "8", "--seed", "-1", "--output", "{o}"],
+        ["sample", "--input", "{c}", "--method", "rs", "--count", "8", "--seed", "-1", "--output", "{o}"],
+        ["train", *TINY_TRAIN, "--config", "{f}", "--out", "{o}"],
+        ["bench", "--input", "{d}", "--methods", "rs", "--config", "{f}"],
+    ],
+    ids=["train", "bench", "nnbench", "sample-fps", "sample-rs", "train-config", "bench-config"],
+)
+def test_a_negative_seed_exits_1_with_one_line(tmp_path, capsys, argv):
+    data = _small_clouds(tmp_path)
+    config = tmp_path / "casnet.cfg"
+    config.write_text("seed=-1\n")
+    paths = {"c": data / "c.xyz", "d": data, "f": config, "o": tmp_path / "out"}
+    code = main([a.format(**paths) for a in argv])
+    _one_line(capsys, code, 1, "error: seed must be >= 0")
+    assert not paths["o"].exists()
+
+
+@pytest.mark.parametrize("setting", ["c=0", "c=-1", "embed_hidden=0", "score_hidden=-2"])
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_a_width_below_one_exits_1_with_one_line_before_any_work(tmp_path, capsys, monkeypatch, command, setting):
+    config = tmp_path / "casnet.cfg"
+    config.write_text(setting + "\n")
+    calls = []
+    monkeypatch.setattr(casnet, "init_weights", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "m.pcw"
+    argv = {
+        "train": ["train", *TINY_TRAIN, "--config", str(config), "--out", str(out)],
+        "bench": ["bench", "--input", str(_small_clouds(tmp_path)), "--methods", "casnet", "--k", "1", "--oa", "1", "--config", str(config)],
+    }[command]
+    code = main(argv)
+    _one_line(capsys, code, 1, f"error: {setting.split('=')[0]} must be >= 1")
+    assert calls == [] and not out.exists()

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from pcsimp import core
 from pcsimp.core import (
     CasNetConfig,
     ConfigError,
     EmptyCloudError,
-    InvalidRatioError,
+    IoFailureError,
     NonFiniteCoordinateError,
+    ParseFailureError,
     PcsimpError,
     PointCloud,
     RunRecord,
@@ -52,9 +54,9 @@ def test_ratio_to_count(n, d, expected):
 
 
 def test_ratio_to_count_rejects_bad_ratio():
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(ConfigError, match=r"^ratio 0 invalid for n=1024$"):
         ratio_to_count(1024, 0)
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(ConfigError, match=r"^ratio 5 invalid for n=4$"):
         ratio_to_count(4, 5)
 
 
@@ -105,3 +107,37 @@ def test_run_record_validation():
         RunRecord(method="rs", n_in=1, n_out=1, t_batch_s=-0.1).validate()
     with pytest.raises(PcsimpError):
         RunRecord(method="rs", n_in=1, n_out=1, acc=1.2).validate()
+
+
+def test_core_defines_seven_error_classes():
+    found = {name for name, obj in vars(core).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert found == {
+        "PcsimpError", "ConfigError", "ShapeMismatchError", "EmptyCloudError",
+        "NonFiniteCoordinateError", "IoFailureError", "ParseFailureError",
+    }
+
+
+def test_parse_failure_is_an_io_failure_that_keeps_its_line():
+    err = ParseFailureError(4, "expected 3 values, got 2")
+    assert isinstance(err, IoFailureError) and err.line == 4 and str(err) == "line 4: expected 3 values, got 2"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"c": 0}, "c must be >= 1"),
+        ({"embed_hidden": -1}, "embed_hidden must be >= 1"),
+        ({"score_hidden": 0}, "score_hidden must be >= 1"),
+        ({"oa_layers": 0}, "oa_layers must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"radius": float("nan")}, "radius must be > 0"),
+        ({"mode": "soft"}, "mode must be one of ('assn', 'ahsn')"),
+        ({"cosine_axis": "diag"}, "cosine_axis must be one of ('rows', 'columns')"),
+        ({"m": 0}, "m=0 outside [1, 256]"),
+    ],
+)
+def test_config_validation_names_the_field(changes, message):
+    with pytest.raises(ConfigError) as exc:
+        CasNetConfig(**{"m": 32, **changes}).validate(256)
+    assert str(exc.value) == message

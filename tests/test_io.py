@@ -5,7 +5,7 @@ import pytest
 
 from pcsimp.core import (
     EmptyCloudError,
-    MalformedLengthError,
+    IoFailureError,
     NonFiniteCoordinateError,
     ParseFailureError,
     PcsimpError,
@@ -33,7 +33,7 @@ def test_read_kitti_bin_known_records(tmp_path):
 def test_read_kitti_bin_rejects_partial_record(tmp_path):
     path = tmp_path / "scan.bin"
     path.write_bytes(b"\x00" * 17)
-    with pytest.raises(MalformedLengthError):
+    with pytest.raises(IoFailureError, match=r"scan\.bin: size 17 is not a multiple of 16$"):
         read_kitti_bin(path)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pcsimp import autodiff as ad
 from pcsimp.autodiff import Tensor
-from pcsimp.core import DegenerateAxisError, PointCloud
+from pcsimp.core import ConfigError, PointCloud, ShapeMismatchError
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
 
 
@@ -109,8 +109,13 @@ def test_cosine_loss_zero_rows_contribute_nothing():
     assert np.isclose(got, 0.0)
 
 
+def test_cosine_loss_rejects_an_unknown_axis():
+    with pytest.raises(ConfigError, match=r"^cosine_axis must be one of \('rows', 'columns'\)$"):
+        cosine_loss(Tensor(np.ones((3, 4))), axis="diag")
+
+
 def test_cosine_loss_rejects_single_vector():
-    with pytest.raises(DegenerateAxisError):
+    with pytest.raises(ShapeMismatchError, match=r"^need at least two vectors along the chosen axis$"):
         cosine_loss(Tensor(np.ones((1, 4))))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcsimp import nnsearch, training
-from pcsimp.core import ConfigError, KTooLargeError, PointCloud
+from pcsimp.core import ConfigError, PointCloud
 from pcsimp.nnsearch import (
     ball_query,
     knn_bruteforce,
@@ -60,7 +60,7 @@ def test_knn_matches_oracle_on_random_points():
 
 
 def test_knn_rejects_k_above_n():
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(ConfigError, match=r"^k=3 exceeds cloud size 2$"):
         knn_bruteforce(PointCloud(np.zeros((2, 3))), 3)
 
 

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pcsimp import autodiff as ad
 from pcsimp import casnet, training
 from pcsimp.autodiff import Tensor
-from pcsimp.core import CasNetConfig, EmptySplitError, PcsimpError, PointCloud, ShapeMismatchError
+from pcsimp.core import CasNetConfig, ConfigError, PcsimpError, PointCloud, ShapeMismatchError
 from pcsimp.training import (
     AdamState,
     DatasetSpec,
@@ -127,7 +129,7 @@ def test_metrics_exclude_absent_classes():
 
 
 def test_metrics_reject_empty_split():
-    with pytest.raises(EmptySplitError):
+    with pytest.raises(ConfigError, match=r"^cannot evaluate an empty split$"):
         classification_metrics(np.array([]), np.array([]), 3)
 
 
@@ -157,6 +159,13 @@ def test_train_smoke_and_history_layout():
     csv = history.to_csv().splitlines()
     assert csv[0] == "epoch,total,task,subset,cosine,train_acc,test_acc,seconds"
     assert len(csv) == 3
+
+
+def test_history_csv_header_is_the_epoch_fields_and_rows_keep_their_format():
+    history = training.TrainHistory([training.EpochStats(3, 1.25, 0.5, 1 / 3, np.float64(2.0), 0.5, 2 / 3, 12.34567)])
+    header, row = history.to_csv().splitlines()
+    assert header.split(",") == [f.name for f in fields(training.EpochStats)]
+    assert row == "3,1.250000,0.500000,0.333333,2.000000,0.5000,0.6667,12.346"
 
 
 def test_train_degenerate_full_output_size_runs():
