@@ -87,10 +87,6 @@ class CasNetWeights:
         return sum(name.endswith(".wq") for name in self.tensors)
 
     @property
-    def c(self) -> int:
-        return self.tensors["sigma.1.w"].data.shape[1]
-
-    @property
     def m(self) -> int:
         return self.rho_out.data.shape[1]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +82,10 @@ def _positive_ints(text: str) -> list[int]:
 
 def _config_from_args(args) -> CasNetConfig:
     """The --config file's settings (or the defaults), overridden by every
-    flag given: each flag's dest is the name of the field it sets. The seed
-    is checked here, since RS draws from it without validating the config."""
+    flag given: each flag's dest is the name of the field it sets."""
     cfg = CasNetConfig.from_file(args.config) if getattr(args, "config", None) else CasNetConfig()
-    for f in fields(CasNetConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    at_least("seed", cfg.seed, 0)
-    return cfg
+    flags = {f.name: getattr(args, f.name, None) for f in fields(CasNetConfig)}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _load_weights(path: str, read):
@@ -108,12 +103,12 @@ def _read_sampler(arrays: dict) -> casnet.CasNetWeights:
 
 
 def _casnet_setup(config: CasNetConfig, weights, n: int, m: int, what: str):
-    """Config and weights for m of n points, built before any timing starts.
-    Weights drawn here follow a config validated first; loaded ones must
-    fit it, and casnet.sample validates it."""
-    cfg = CasNetConfig(**{**config.__dict__, "m": m, "ratio": None})
+    """Config and weights for m of n points, checked against the cloud before
+    any timing starts. Weights are drawn from the config when none are given;
+    loaded ones must fit it."""
+    cfg = replace(config, m=m, ratio=None)
+    cfg.validate(n)
     if weights is None:
-        cfg.validate(n)
         weights = casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
     weights.check_fits(cfg.oa_layers, m, f"{what}: ")
     return cfg, weights
@@ -202,12 +197,14 @@ def cmd_bench(args) -> int:
     labels = _read_labels(args.labels) if args.head and args.labels else None
     setups = {}
     if "casnet" in methods:
-        # a checkpoint emits one m: a pair that needs another fails here, before any timing
+        # every (cloud, ratio) is checked before any timing: k must fit each cloud,
+        # and a checkpoint emits one m, so a pair that needs another fails here;
+        # weights drawn for an m serve every later cloud that needs that m
         for ratio in ratios:
             for name, cloud in clouds:
                 m = ratio_to_count(cloud.n, ratio)
-                if m not in setups:
-                    setups[m] = _casnet_setup(config, weights, cloud.n, m, f"{name} at ratio {ratio}")
+                known = setups[m][1] if m in setups else weights
+                setups[m] = _casnet_setup(config, known, cloud.n, m, f"{name} at ratio {ratio}")
 
     records = []
     for method in methods:
@@ -226,15 +223,7 @@ def cmd_bench(args) -> int:
                     outputs.append((name, cloud, sampled))
                 batch_times.append(total)
             t_batch = float(np.median(batch_times))
-            record = RunRecord(
-                method=method,
-                n_in=int(np.median([c.n for _, c in clouds])),
-                n_out=int(np.median([s.n for _, _, s in outputs])),
-                oa=config.oa_layers if method == "casnet" else None,
-                k=config.k if method == "casnet" else None,
-                t_batch_s=t_batch,
-                t_sample_s=t_batch / len(clouds),
-            )
+            acc = prec = rec = f1 = None
             if head is not None and labels is not None:
                 y_true, y_pred = [], []
                 for name, _, sampled in outputs:
@@ -243,11 +232,17 @@ def cmd_bench(args) -> int:
                     y_true.append(labels[name])
                     y_pred.append(head.predict(sampled.points))
                 if y_true:
-                    acc, prec, rec, f1 = training.classification_metrics(
-                        np.array(y_true), np.array(y_pred), head.n_classes
-                    )
-                    record.acc, record.prec, record.rec, record.f1 = acc, prec, rec, f1
-            records.append(record)
+                    acc, prec, rec, f1 = training.classification_metrics(np.array(y_true), np.array(y_pred), head.n_classes)
+            records.append(RunRecord(
+                method=method,
+                n_in=int(np.median([c.n for _, c in clouds])),
+                n_out=int(np.median([s.n for _, _, s in outputs])),
+                oa=config.oa_layers if method == "casnet" else None,
+                k=config.k if method == "casnet" else None,
+                t_batch_s=t_batch,
+                t_sample_s=t_batch / len(clouds),
+                acc=acc, prec=prec, rec=rec, f1=f1,
+            ))
 
     text = format_report(records, args.format)
     print(text, end="")
@@ -292,7 +287,7 @@ def cmd_nnbench(args) -> int:
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     if config.m is None and config.ratio is None:
-        config.m = 32
+        config = replace(config, m=32)
     spec = training.DatasetSpec(
         train_per_class=args.train_per_class,
         test_per_class=args.test_per_class,
@@ -493,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cosine-axis", dest="cosine_axis", choices=COSINE_AXES)
     p.add_argument("--train-per-class", type=_positive_int, default=100)
     p.add_argument("--test-per-class", type=_positive_int, default=30)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=_positive_int, default=256)
     add_casnet_flags(p)
     p.set_defaults(handler=cmd_train)
 

@@ -143,9 +143,11 @@ class NeighborTable:
         object.__setattr__(self, "indices", idx)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CasNetConfig:
-    """Sampler hyperparameters. Loadable from key=value files, overridable by CLI flags."""
+    """Sampler hyperparameters. Loadable from key=value files, overridden by
+    CLI flags through dataclasses.replace. Every rule that does not depend on
+    the cloud is checked when a config is made, raising ConfigError."""
 
     k: int = 32
     oa_layers: int = 3
@@ -164,9 +166,8 @@ class CasNetConfig:
     score_hidden: int = 256
     cosine_axis: str = "rows"
 
-    def validate(self, n: int) -> None:
-        """Raise ConfigError unless the config fits an n-point cloud."""
-        check_k(self.k, n)
+    def __post_init__(self):
+        at_least("k", self.k, 1)
         for name in ("oa_layers", "c", "embed_hidden", "score_hidden"):
             at_least(name, getattr(self, name), 1)
         at_least("seed", self.seed, 0)
@@ -176,6 +177,10 @@ class CasNetConfig:
         one_of("backend", self.backend, BACKENDS)
         one_of("mode", self.mode, MODES)
         one_of("cosine_axis", self.cosine_axis, COSINE_AXES)
+
+    def validate(self, n: int) -> None:
+        """Raise ConfigError unless k and the output count fit an n-point cloud."""
+        check_k(self.k, n)
         check_m(self.output_count(n), n)
 
     def output_count(self, n: int) -> int:
@@ -191,8 +196,8 @@ class CasNetConfig:
 
         Raises IoFailureError (unreadable or not UTF-8) or ConfigError.
         """
-        cfg = cls()
         names = {f.name: f for f in fields(cls)}
+        values = {}
         text = read_text(path)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -206,15 +211,14 @@ class CasNetConfig:
             typ = names[key].type
             try:
                 if typ.startswith("int"):
-                    parsed = int(value)
+                    values[key] = int(value)
                 elif typ.startswith("float"):
-                    parsed = float(value)
+                    values[key] = float(value)
                 else:
-                    parsed = value
+                    values[key] = value
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from e
-            setattr(cfg, key, parsed)
-        return cfg
+        return cls(**values)
 
 
 def ratio_to_count(n: int, ratio: int) -> int:
@@ -224,9 +228,10 @@ def ratio_to_count(n: int, ratio: int) -> int:
     return n // ratio
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
-    """One benchmark row: method, configuration, timings, and quality metrics."""
+    """One benchmark row: method, configuration, timings, and quality metrics.
+    Raises PcsimpError for a negative time or a metric outside [0, 1]."""
 
     method: str
     n_in: int
@@ -240,7 +245,7 @@ class RunRecord:
     rec: float | None = None
     f1: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.t_batch_s < 0 or self.t_sample_s < 0:
             raise PcsimpError("times must be >= 0")
         for v in (self.acc, self.prec, self.rec, self.f1):

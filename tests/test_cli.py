@@ -404,6 +404,8 @@ TINY_TRAIN = ["--train-per-class", "1", "--test-per-class", "1", "--points", "32
         ["train", "--batch", "0", *TINY_TRAIN],
         ["train", *TINY_TRAIN, "--train-per-class", "0"],
         ["train", *TINY_TRAIN, "--test-per-class", "0"],
+        ["train", *TINY_TRAIN, "--points", "-5"],
+        ["train", *TINY_TRAIN, "--points", "0"],
     ],
 )
 def test_bad_integer_flags_exit_1_with_one_error_line(tmp_path, capsys, argv):
@@ -566,3 +568,42 @@ def test_a_width_below_one_exits_1_with_one_line_before_any_work(tmp_path, capsy
     code = main(argv)
     _one_line(capsys, code, 1, f"error: {setting.split('=')[0]} must be >= 1")
     assert calls == [] and not out.exists()
+
+
+CLOUD_FREE_SETTINGS = {
+    "radius=-1": "error: radius must be > 0",
+    "mode=x": "error: mode must be one of ('assn', 'ahsn')",
+    "backend=octree": "error: backend must be one of ('ball_query', 'knn_bruteforce')",
+    "cosine_axis=diag": "error: cosine_axis must be one of ('rows', 'columns')",
+    "alpha=nan": "error: loss weights must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize("setting, line", CLOUD_FREE_SETTINGS.items(), ids=CLOUD_FREE_SETTINGS)
+@pytest.mark.parametrize("method", ["rs", "fps", "fps-chunked", "casnet"])
+def test_sample_rejects_a_bad_config_with_one_line_whatever_the_method(tmp_path, capsys, method, setting, line):
+    config = tmp_path / "casnet.cfg"
+    config.write_text(setting + "\n")
+    weights = tmp_path / "w.pcw"
+    _write_weights(weights, CasNetConfig(), 8)
+    out = tmp_path / "o.xyz"
+    code = main([
+        "sample", "--input", str(_small_clouds(tmp_path) / "c.xyz"), "--method", method, "--count", "8",
+        "--weights", str(weights), "--config", str(config), "--output", str(out),
+    ])
+    _one_line(capsys, code, 1, line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, line", [("0", "error: k must be >= 1"), ("100", "error: k=100 exceeds cloud size 64")], ids=["zero", "above-n"])
+def test_bench_with_weights_rejects_a_bad_k_before_timing(tmp_path, monkeypatch, capsys, k, line):
+    weights = tmp_path / "w.pcw"
+    _write_weights(weights, CasNetConfig(k=1, oa_layers=1, c=16, m=32, embed_hidden=16, score_hidden=16), 32)
+    calls = []
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs"))
+    code = main([
+        "bench", "--input", str(_small_clouds(tmp_path)), "--methods", "rs,casnet", "--ratios", "2",
+        "--weights", str(weights), "--oa", "1", "--k", k,
+    ])
+    _one_line(capsys, code, 1, line)
+    assert calls == []

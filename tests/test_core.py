@@ -1,3 +1,6 @@
+import math
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -100,13 +103,50 @@ def test_config_from_file_rejects_unknown_key(tmp_path):
         CasNetConfig.from_file(path)
 
 
+CLOUD_FREE_RULES = [
+    ("k", 0, "k must be >= 1"),
+    ("oa_layers", 0, "oa_layers must be >= 1"),
+    ("c", -1, "c must be >= 1"),
+    ("embed_hidden", 0, "embed_hidden must be >= 1"),
+    ("score_hidden", 0, "score_hidden must be >= 1"),
+    ("seed", -1, "seed must be >= 0"),
+    ("radius", -1.0, "radius must be > 0"),
+    ("alpha", math.nan, "loss weights must be finite and >= 0"),
+    ("beta", math.inf, "loss weights must be finite and >= 0"),
+    ("backend", "octree", "backend must be one of ('ball_query', 'knn_bruteforce')"),
+    ("mode", "soft", "mode must be one of ('assn', 'ahsn')"),
+    ("cosine_axis", "diag", "cosine_axis must be one of ('rows', 'columns')"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", CLOUD_FREE_RULES, ids=[rule[0] for rule in CLOUD_FREE_RULES])
+def test_each_cloud_free_rule_fails_wherever_a_config_is_made(tmp_path, name, value, message):
+    path = tmp_path / "run.conf"
+    path.write_text(f"{name}={value}\n")
+    makers = [
+        lambda: CasNetConfig(**{name: value}),
+        lambda: replace(CasNetConfig(), **{name: value}),
+        lambda: CasNetConfig.from_file(path),
+    ]
+    for make in makers:
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_config_and_run_record_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        CasNetConfig().radius = -1.0
+    with pytest.raises(FrozenInstanceError):
+        RunRecord(method="rs", n_in=1, n_out=1).acc = 0.5
+
+
 def test_run_record_validation():
-    rec = RunRecord(method="rs", n_in=1024, n_out=512, t_batch_s=0.1, t_sample_s=0.01)
-    rec.validate()
+    RunRecord(method="rs", n_in=1024, n_out=512, t_batch_s=0.1, t_sample_s=0.01)
     with pytest.raises(PcsimpError):
-        RunRecord(method="rs", n_in=1, n_out=1, t_batch_s=-0.1).validate()
+        RunRecord(method="rs", n_in=1, n_out=1, t_batch_s=-0.1)
     with pytest.raises(PcsimpError):
-        RunRecord(method="rs", n_in=1, n_out=1, acc=1.2).validate()
+        RunRecord(method="rs", n_in=1, n_out=1, acc=1.2)
 
 
 def test_core_defines_seven_error_classes():
@@ -135,6 +175,8 @@ def test_parse_failure_is_an_io_failure_that_keeps_its_line():
         ({"mode": "soft"}, "mode must be one of ('assn', 'ahsn')"),
         ({"cosine_axis": "diag"}, "cosine_axis must be one of ('rows', 'columns')"),
         ({"m": 0}, "m=0 outside [1, 256]"),
+        ({"m": 300}, "m=300 outside [1, 256]"),
+        ({"k": 300}, "k=300 exceeds cloud size 256"),
     ],
 )
 def test_config_validation_names_the_field(changes, message):

@@ -26,7 +26,7 @@ def tape_embed(combined, weights):
     x = Tensor(combined.reshape(n * k, width))
     h = ad.relu(ad.add_rowvec(ad.matmul(x, w1), b1))
     h = ad.add_rowvec(ad.matmul(h, w2), b2)
-    return ad.max_over_axis(ad.reshape(h, (n, k, weights.c)), axis=1)
+    return ad.max_over_axis(ad.reshape(h, (n, k, weights.sigma[1][0].data.shape[1])), axis=1)
 
 
 def tape_offset_attention(f_in, lay):

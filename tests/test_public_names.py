@@ -3,9 +3,9 @@ package or the benchmark: a name only tests read is dead code.
 
 The guard matches by name only. It counts every read of an identifier, as a
 name or as an attribute of anything, so a method passes unread whenever some
-other function, method or attribute of the same name is read: were
-`RunRecord.validate` never called, the calls of `CasNetConfig.validate` would
-still pass it, and a method called `data` would pass on every `tensor.data`. Telling them apart needs
+other function, method or attribute of the same name is read: a property
+`CasNetWeights.c` that only tests read would pass on every read of
+`config.c`, and a method called `data` would pass on every `tensor.data`. Telling them apart needs
 the receiver's type, which a static pass over the source does not have, so
 such a name needs a reader's check."""
 
