@@ -396,15 +396,14 @@ def matrix_shape(arrays: dict[str, np.ndarray], name: str) -> tuple[int, int]:
     return a.shape
 
 
-def constants(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], prefix: str = "") -> dict[str, Tensor]:
-    """Constant tensors of the arrays a layout names, each looked up after
-    `prefix`, in the layout's order; other arrays are ignored. Raises
-    ShapeMismatchError naming the first array that is missing or has another
-    shape."""
+def constants(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+    """Constant tensors of the arrays a layout names, in the layout's order;
+    other arrays are ignored. Raises ShapeMismatchError naming the first array
+    that is missing or has another shape."""
     out = {}
     for name, shape in shapes.items():
-        a = arrays.get(prefix + name)
+        a = arrays.get(name)
         if a is None or a.shape != shape:
-            raise ShapeMismatchError(f"{prefix}{name} is missing" if a is None else f"{prefix}{name} has shape {a.shape}, expected {shape}")
+            raise ShapeMismatchError(f"{name} is missing" if a is None else f"{name} has shape {a.shape}, expected {shape}")
         out[name] = Tensor(a)
     return out

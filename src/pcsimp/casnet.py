@@ -1,4 +1,4 @@
-"""Attention-based point cloud sampler.
+"""Attention-based sampler of point clouds.
 
 Pipeline: neighbor grouping -> per-point feature embedding -> stacked
 offset-attention layers -> soft sampling matrix -> soft (ASSN) or hardened
@@ -93,8 +93,8 @@ class CasNetWeights:
     def parameters(self) -> list[Tensor]:
         return list(self.tensors.values())
 
-    def to_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {prefix + name: t.data for name, t in self.tensors.items()}
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {name: t.data for name, t in self.tensors.items()}
 
     def detached(self, dtype) -> "CasNetWeights":
         """The same values in `dtype`, as constants: layers given these keep
@@ -111,16 +111,16 @@ class CasNetWeights:
             raise ShapeMismatchError(f"{prefix}weights emit m={self.m} points but m={m} is needed")
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "") -> "CasNetWeights":
-        """Constant weights from the arrays layout() names, each looked up
-        after `prefix`; other arrays are ignored. The architecture is read off
-        sigma.1.w (e, c), rho.hidden.w (depth * c, s) and rho.out.w (m), at
-        least one attention layer; ShapeMismatchError names the first array
-        that is missing or does not fit it."""
-        e, c = ad.matrix_shape(arrays, prefix + "sigma.1.w")
-        rows, s = ad.matrix_shape(arrays, prefix + "rho.hidden.w")
-        m = ad.matrix_shape(arrays, prefix + "rho.out.w")[1]
-        return cls(ad.constants(arrays, layout(e, c, s, m, max(1, rows // max(c, 1))), prefix))
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "CasNetWeights":
+        """Constant weights from the arrays layout() names; other arrays are
+        ignored. The architecture is read off sigma.1.w (e, c), rho.hidden.w
+        (depth * c, s) and rho.out.w (m), at least one attention layer;
+        ShapeMismatchError names the first array that is missing or does not
+        fit it."""
+        e, c = ad.matrix_shape(arrays, "sigma.1.w")
+        rows, s = ad.matrix_shape(arrays, "rho.hidden.w")
+        m = ad.matrix_shape(arrays, "rho.out.w")[1]
+        return cls(ad.constants(arrays, layout(e, c, s, m, max(1, rows // max(c, 1)))))
 
 
 def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | None = None) -> CasNetWeights:

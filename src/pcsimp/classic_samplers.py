@@ -29,17 +29,15 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
     if not 0 <= start < n:
         raise ConfigError(f"start={start} outside [0, {n})")
     selected = np.empty(m, dtype=np.int64)
-    selected[0] = start
-    diff = pts - pts[start]
-    min_d = (diff * diff).sum(axis=1)
-    min_d[start] = -1
-    for i in range(1, m):
-        j = int(np.argmax(min_d))
+    min_d = np.full(n, np.inf, dtype=pts.dtype)
+    j = start
+    for i in range(m):
         selected[i] = j
         diff = pts - pts[j]
         d_j = (diff * diff).sum(axis=1)
         np.minimum(min_d, d_j, out=min_d)
         min_d[j] = -1
+        j = int(np.argmax(min_d))
     return SampleResult(PointCloud(pts[selected]), selected)
 
 

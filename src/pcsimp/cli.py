@@ -97,11 +97,6 @@ def _load_weights(path: str, read):
         raise ShapeMismatchError(f"{path}: {e}") from None
 
 
-def _read_sampler(arrays: dict) -> casnet.CasNetWeights:
-    prefix = "sampler." if any(k.startswith("sampler.") for k in arrays) else ""
-    return casnet.CasNetWeights.from_arrays(arrays, prefix)
-
-
 def _casnet_setup(config: CasNetConfig, weights, n: int, m: int, what: str):
     """Config and weights for m of n points, checked against the cloud before
     any timing starts. Weights are drawn from the config when none are given;
@@ -131,14 +126,14 @@ def _sampler_fn(method: str, args, casnet_setups: dict):
 
 
 def cmd_sample(args) -> int:
-    cloud = read_cloud(args.input, args.format)
+    cloud = read_cloud(args.input)
     config = _config_from_args(args)
     m = config.output_count(cloud.n)
     setups = {}
     if args.method == "casnet":
         if not args.weights:
             raise PcsimpError("casnet requires --weights")
-        setups[m] = _casnet_setup(config, _load_weights(args.weights, _read_sampler), cloud.n, m, args.input)
+        setups[m] = _casnet_setup(config, _load_weights(args.weights, casnet.CasNetWeights.from_arrays), cloud.n, m, args.input)
     fn = _sampler_fn(args.method, args, setups)
 
     started = time.perf_counter()
@@ -185,6 +180,8 @@ def _read_labels(path: str) -> dict[str, int]:
 
 
 def cmd_bench(args) -> int:
+    if bool(args.head) != bool(args.labels):
+        raise PcsimpError("quality columns need both --head and --labels")
     clouds = _collect_clouds(args.input)
     methods = args.methods.split(",")
     for mth in methods:
@@ -192,31 +189,31 @@ def cmd_bench(args) -> int:
             raise PcsimpError(f"unknown method {mth!r}")
     ratios = args.ratios
     config = _config_from_args(args)
-    weights = _load_weights(args.weights, _read_sampler) if args.weights else None
+    weights = _load_weights(args.weights, casnet.CasNetWeights.from_arrays) if args.weights else None
     head = _load_weights(args.head, training.ToyTaskHead.from_arrays) if args.head else None
-    labels = _read_labels(args.labels) if args.head and args.labels else None
+    labels = _read_labels(args.labels) if args.labels else None
+    # every (cloud, ratio) is checked before any timing
+    counts = {ratio: [ratio_to_count(cloud.n, ratio) for _, cloud in clouds] for ratio in ratios}
     setups = {}
     if "casnet" in methods:
-        # every (cloud, ratio) is checked before any timing: k must fit each cloud,
-        # and a checkpoint emits one m, so a pair that needs another fails here;
-        # weights drawn for an m serve every later cloud that needs that m
+        # k must fit each cloud, and a checkpoint emits one m, so a pair that
+        # needs another fails here; weights drawn for an m serve every later
+        # cloud that needs that m
         for ratio in ratios:
-            for name, cloud in clouds:
-                m = ratio_to_count(cloud.n, ratio)
+            for (name, cloud), m in zip(clouds, counts[ratio]):
                 known = setups[m][1] if m in setups else weights
                 setups[m] = _casnet_setup(config, known, cloud.n, m, f"{name} at ratio {ratio}")
 
     records = []
     for method in methods:
+        fn = _sampler_fn(method, args, setups)
         for ratio in ratios:
-            fn = _sampler_fn(method, args, setups)
             batch_times = []
             outputs = None
             for rep in range(args.repeats):
                 total = 0.0
                 outputs = []
-                for i, (name, cloud) in enumerate(clouds):
-                    m = ratio_to_count(cloud.n, ratio)
+                for i, ((name, cloud), m) in enumerate(zip(clouds, counts[ratio])):
                     started = time.perf_counter()
                     sampled, _ = fn(cloud, m, config.seed + i)
                     total += time.perf_counter() - started
@@ -224,7 +221,7 @@ def cmd_bench(args) -> int:
                 batch_times.append(total)
             t_batch = float(np.median(batch_times))
             acc = prec = rec = f1 = None
-            if head is not None and labels is not None:
+            if head is not None:
                 y_true, y_pred = [], []
                 for name, _, sampled in outputs:
                     if name not in labels:
@@ -302,9 +299,7 @@ def cmd_train(args) -> int:
         lr=args.lr,
         batch_size=args.batch,
     )
-    arrays = weights.to_arrays(prefix="sampler.")
-    arrays.update(head.to_arrays())
-    ad.save_arrays(args.out, arrays)
+    ad.save_arrays(args.out, {**weights.to_arrays(), **head.to_arrays()})
     history_path = args.history or (args.out + ".history.csv")
     Path(history_path).write_text(history.to_csv())
     last = history.epochs[-1]
@@ -410,38 +405,28 @@ def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
 
 
 def cmd_gradcheck(args) -> int:
-    failures = 0
-    if args.ops or not args.end_to_end:
-        print(f"{'op':<15} {'max_rel_err':>12} {'threshold':>10}  status")
-        for name, params, fn in _gradcheck_op_cases():
-            err = ad.finite_diff_check(fn, params, eps=args.eps)
-            ok = err < args.threshold
-            failures += 0 if ok else 1
-            print(f"{name:<15} {err:>12.3e} {args.threshold:>10.0e}  {'ok' if ok else 'FAIL'}")
-    if args.end_to_end:
-        err = end_to_end_assn_check(eps=args.eps)
-        ok = err < 1e-3
-        failures += 0 if ok else 1
-        print(f"{'end-to-end':<15} {err:>12.3e} {1e-3:>10.0e}  {'ok' if ok else 'FAIL'}")
-    return EXIT_VALIDATION if failures else EXIT_OK
+    rows = [(name, ad.finite_diff_check(fn, params, eps=1e-6), 1e-4) for name, params, fn in _gradcheck_op_cases()]
+    rows.append(("end-to-end", end_to_end_assn_check(eps=1e-6), 1e-3))
+    print(f"{'op':<15} {'max_rel_err':>12} {'threshold':>10}  status")
+    for name, err, bound in rows:
+        print(f"{name:<15} {err:>12.3e} {bound:>10.0e}  {'ok' if err < bound else 'FAIL'}")
+    return EXIT_OK if all(err < bound for _, err, bound in rows) else EXIT_VALIDATION
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pcsimp", description="Point cloud simplification benchmark suite")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_casnet_flags(p, include_mode=True):
+    def add_casnet_flags(p):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--k", type=int, help="neighbor count")
         p.add_argument("--oa", dest="oa_layers", type=int, help="attention layer count")
         p.add_argument("--radius", type=float, help="ball query radius")
         p.add_argument("--backend", choices=BACKENDS)
-        if include_mode:
-            p.add_argument("--mode", choices=MODES)
+        p.add_argument("--mode", choices=MODES)
 
     p = sub.add_parser("sample", help="downsample one cloud")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("bin", "xyz"))
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--ratio", type=int)
     p.add_argument("--count", dest="m", type=int)
@@ -493,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--ops", action="store_true")
-    p.add_argument("--end-to-end", action="store_true")
-    p.add_argument("--eps", type=_positive_float, default=1e-6)
-    p.add_argument("--threshold", type=_positive_float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
 
     return parser

@@ -93,9 +93,8 @@ def write_xyz(path: str | Path, cloud: PointCloud) -> None:
         raise IoFailureError(str(e)) from e
 
 
-def read_cloud(path: str | Path, fmt: str | None = None) -> PointCloud:
-    fmt = fmt or ("bin" if str(path).endswith(".bin") else "xyz")
-    return read_kitti_bin(path) if fmt == "bin" else read_xyz(path)
+def read_cloud(path: str | Path) -> PointCloud:
+    return read_kitti_bin(path) if str(path).endswith(".bin") else read_xyz(path)
 
 
 def write_cloud(path: str | Path, cloud: PointCloud) -> None:
