@@ -1,5 +1,5 @@
 """Point cloud simplification: learned attention-based sampling, classical
-baselines, neighborhood-search backends, and a benchmark CLI."""
+baselines, a ball-query neighborhood search, and a benchmark CLI."""
 
 from .core import (
     CasNetConfig,

@@ -393,7 +393,7 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
         f_group = np.zeros((cloud.n, 1, 3), dtype=dtype)
     else:
         # looked up in this module at call time, so a wrapper set here sees every search
-        neighbors = find_neighbors(cloud, config.backend, config.k, config.radius)
+        neighbors = find_neighbors(cloud, config.radius, config.k)
         f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
     f_pointwise = embed(f_combine, weights)

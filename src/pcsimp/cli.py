@@ -18,8 +18,6 @@ from . import autodiff as ad
 from . import casnet, classic_samplers, nnsearch, training
 from .autodiff import Tensor
 from .core import (
-    BACKENDS,
-    COSINE_AXES,
     MODES,
     CasNetConfig,
     IoFailureError,
@@ -31,7 +29,6 @@ from .core import (
     ShapeMismatchError,
     at_least,
     check_radius,
-    one_of,
     ratio_to_count,
     read_text,
 )
@@ -45,10 +42,10 @@ METHODS = ("rs", "fps", "fps-chunked", "casnet")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the CLI contract wants 1."""
+    """argparse exits 2 on bad flags and prints its usage first; the CLI
+    contract wants exit 1 and one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
@@ -192,6 +189,8 @@ def cmd_bench(args) -> int:
     weights = _load_weights(args.weights, casnet.CasNetWeights.from_arrays) if args.weights else None
     head = _load_weights(args.head, training.ToyTaskHead.from_arrays) if args.head else None
     labels = _read_labels(args.labels) if args.labels else None
+    if labels is not None and not any(name in labels for name, _ in clouds):
+        raise PcsimpError(f"{args.labels} names none of the clouds in {args.input}")
     # every (cloud, ratio) is checked before any timing
     counts = {ratio: [ratio_to_count(cloud.n, ratio) for _, cloud in clouds] for ratio in ratios}
     setups = {}
@@ -228,8 +227,7 @@ def cmd_bench(args) -> int:
                         continue
                     y_true.append(labels[name])
                     y_pred.append(head.predict(sampled.points))
-                if y_true:
-                    acc, prec, rec, f1 = training.classification_metrics(np.array(y_true), np.array(y_pred), head.n_classes)
+                acc, prec, rec, f1 = training.classification_metrics(np.array(y_true), np.array(y_pred), head.n_classes)
             records.append(RunRecord(
                 method=method,
                 n_in=int(np.median([c.n for _, c in clouds])),
@@ -249,35 +247,27 @@ def cmd_bench(args) -> int:
 
 
 def cmd_nnbench(args) -> int:
-    backends = args.backends.split(",")
-    for b in backends:
-        one_of("backend", b, BACKENDS)
     check_radius(args.radius)
     at_least("seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
-    print(f"{'n':>6} {'k':>4} {'backend':<15} {'time_s':>10}  verified")
+    print(f"{'n':>6} {'k':>4} {'time_s':>10}  verified")
     failures = 0
     for n in args.n:
         cloud = PointCloud(rng.random((n, 3)) * 2.0)
         for k in args.k:
             if k > n:
                 continue
+            started = time.perf_counter()
+            table = nnsearch.ball_query(cloud, args.radius, k)
+            elapsed = time.perf_counter() - started
+            # rows are nearest-first, so the in-radius entries of the k-NN rows form a prefix
             reference = nnsearch.knn_bruteforce(cloud, k).indices
-            for backend in backends:
-                started = time.perf_counter()
-                table = nnsearch.find_neighbors(cloud, backend, k, args.radius)
-                elapsed = time.perf_counter() - started
-                expected = reference
-                if backend == "ball_query":
-                    # rows are nearest-first, so the in-radius entries of the k-NN rows form a prefix
-                    diff = cloud.points[reference] - cloud.points[:, None, :]
-                    inside = (diff * diff).sum(axis=-1) <= np.asarray(args.radius, dtype=cloud.points.dtype) ** 2
-                    expected = np.where(inside, reference, SENTINEL)
-                ok = np.array_equal(table.indices, expected)
-                verdict = "match" if ok else "MISMATCH"
-                if not ok:
-                    failures += 1
-                print(f"{n:>6} {k:>4} {backend:<15} {elapsed:>10.6f}  {verdict}")
+            diff = cloud.points[reference] - cloud.points[:, None, :]
+            inside = (diff * diff).sum(axis=-1) <= np.asarray(args.radius, dtype=cloud.points.dtype) ** 2
+            ok = np.array_equal(table.indices, np.where(inside, reference, SENTINEL))
+            if not ok:
+                failures += 1
+            print(f"{n:>6} {k:>4} {elapsed:>10.6f}  {'match' if ok else 'MISMATCH'}")
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
@@ -422,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="neighbor count")
         p.add_argument("--oa", dest="oa_layers", type=int, help="attention layer count")
         p.add_argument("--radius", type=float, help="ball query radius")
-        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--mode", choices=MODES)
 
     p = sub.add_parser("sample", help="downsample one cloud")
@@ -452,11 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_casnet_flags(p)
     p.set_defaults(handler=cmd_bench)
 
-    p = sub.add_parser("nnbench", help="time and verify the search backends")
+    p = sub.add_parser("nnbench", help="time the ball query and verify it against brute force")
     p.add_argument("--n", type=_positive_ints, default="1024")
     p.add_argument("--k", type=_positive_ints, default="1,8,32")
     p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--backends", default=",".join(BACKENDS))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_nnbench)
 
@@ -470,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--count", dest="m", type=int, help="output points m")
-    p.add_argument("--cosine-axis", dest="cosine_axis", choices=COSINE_AXES)
     p.add_argument("--train-per-class", type=_positive_int, default=100)
     p.add_argument("--test-per-class", type=_positive_int, default=30)
     p.add_argument("--points", type=_positive_int, default=256)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import COSINE_AXES, EmptyCloudError, PointCloud, ShapeMismatchError, one_of
+from .core import EmptyCloudError, PointCloud, ShapeMismatchError
 
 
 def _as_tensor(x) -> Tensor:
@@ -44,19 +44,17 @@ def subset_loss(p_in: PointCloud, p_sp) -> Tensor:
     return ad.add(term1, term2)
 
 
-def cosine_loss(soft, axis: str = "rows") -> Tensor:
-    """Sum of |cos| over ordered pairs of distinct row (or column) vectors.
+def cosine_loss(v) -> Tensor:
+    """Sum of |cos| over ordered pairs of distinct row vectors of v.
 
-    Large values mean many near-parallel vectors, i.e. duplicated selections.
-    Zero vectors contribute zero by convention.
+    Large values mean many near-parallel vectors: given the transposed soft
+    matrix, whose rows are its columns, duplicated selections. Zero vectors
+    contribute zero by convention.
     """
-    one_of("cosine_axis", axis, COSINE_AXES)
-    v = _as_tensor(soft)
-    if axis == "columns":
-        v = ad.transpose(v)
+    v = _as_tensor(v)
     p = v.data.shape[0]
     if p < 2:
-        raise ShapeMismatchError("need at least two vectors along the chosen axis")
+        raise ShapeMismatchError("need at least two vectors")
     gram = ad.matmul(v, ad.transpose(v))
     sq_norms = ad.tsum(ad.mul(v, v), axis=1, keepdims=True)
     # shift (near-)zero norms to ~1 (constant, carries no gradient): their

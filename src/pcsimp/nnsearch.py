@@ -1,5 +1,5 @@
-"""Two interchangeable neighborhood-search backends over point clouds: exact
-k nearest neighbors by brute force, and a uniform-grid ball query.
+"""Neighborhood search over point clouds: a uniform-grid ball query, and
+exact k nearest neighbors by brute force, the oracle it is checked against.
 
 Both share the same contract: row i of the result lists neighbor
 indices of point i nearest-first, ties broken toward the lower index, with -1
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BACKENDS, NeighborTable, PointCloud, SENTINEL, check_k, check_radius, one_of
+from .core import NeighborTable, PointCloud, SENTINEL, check_k, check_radius
 
 # ball_query ranks runs of grid cells together up to about this many distances
 _BATCH = 1 << 15
@@ -148,9 +148,6 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     return NeighborTable(out)
 
 
-def find_neighbors(cloud: PointCloud, backend: str, k: int, radius: float) -> NeighborTable:
-    """Dispatch to the configured backend."""
-    one_of("backend", backend, BACKENDS)
-    if backend == "ball_query":
-        return ball_query(cloud, radius, k)
-    return knn_bruteforce(cloud, k)
+# the sampler's search, under the name callers look up and wrap; brute-force
+# k nearest neighbors is ball_query at radius=inf
+find_neighbors = ball_query

@@ -216,7 +216,7 @@ def cloud_loss(cloud: PointCloud, label: int, config: CasNetConfig, weights: cas
     _, cache = casnet.forward(cloud, config, weights)
     logits = head.forward(cache.p_sp)
     task = ad.cross_entropy(logits, np.array([label]))
-    subset, cosine = subset_loss(cloud, cache.p_sp), cosine_loss(cache.soft, config.cosine_axis)
+    subset, cosine = subset_loss(cloud, cache.p_sp), cosine_loss(ad.transpose(cache.soft))
     return total_loss(task, subset, cosine, config.alpha, config.beta), logits, cache
 
 

@@ -21,8 +21,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def reduced_config(m, mode="ahsn", seed=0, **overrides):
     base = dict(
-        k=1, oa_layers=1, c=64, m=m, mode=mode, backend="ball_query",
-        radius=2.0, seed=seed, cosine_axis="columns",
+        k=1, oa_layers=1, c=64, m=m, mode=mode, radius=2.0, seed=seed,
     )
     base.update(overrides)
     return CasNetConfig(**base)
@@ -170,7 +169,7 @@ def test_criterion_6_timing_ordering():
         t_fps.append(time.perf_counter() - t0)
     rs_med, net_med, fps_med = (float(np.median(t)) for t in (t_rs, t_net, t_fps))
 
-    full = CasNetConfig(k=32, oa_layers=3, c=64, m=512, mode="ahsn", backend="ball_query", radius=2.0)
+    full = CasNetConfig(k=32, oa_layers=3, c=64, m=512, mode="ahsn", radius=2.0)
     w_full = casnet.init_weights(full, 512, dtype=np.float32, seed=2)
     red = reduced_config(512)
     w_red = casnet.init_weights(red, 512, dtype=np.float32, seed=3)

@@ -24,7 +24,7 @@ def tiny_config(**overrides):
         c=8,
         m=4,
         mode="assn",
-        backend="knn_bruteforce",
+        radius=np.inf,
         embed_hidden=8,
         score_hidden=8,
         seed=0,
@@ -373,7 +373,7 @@ def test_ste_matches_soft_gradients_when_soft_is_nearly_one_hot():
 
 
 def test_fast_sample_matches_graph_forward_ahsn():
-    config = tiny_config(mode="ahsn", k=1, backend="ball_query")
+    config = tiny_config(mode="ahsn", k=1)
     cloud = random_cloud(32, 28)
     weights = casnet.init_weights(config, 4)
     out_graph, cache = casnet.forward(cloud, config, weights)
@@ -383,7 +383,7 @@ def test_fast_sample_matches_graph_forward_ahsn():
 
 
 def test_fast_sample_matches_graph_forward_assn_full_config():
-    config = tiny_config(mode="assn", k=4, oa_layers=2, backend="knn_bruteforce", m=6)
+    config = tiny_config(mode="assn", k=4, oa_layers=2, m=6)
     cloud = random_cloud(24, 29)
     weights = casnet.init_weights(config, 6)
     out_graph, _ = casnet.forward(cloud, config, weights)
@@ -394,7 +394,7 @@ def test_fast_sample_matches_graph_forward_assn_full_config():
 
 def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame():
     cloud = PointCloud(_lidar_like_cloud(np.random.default_rng(12), 8192))
-    config = CasNetConfig(k=32, oa_layers=3, radius=2.0, m=1024, mode="ahsn", backend="ball_query")
+    config = CasNetConfig(k=32, oa_layers=3, radius=2.0, m=1024, mode="ahsn")
     weights = casnet.init_weights(config, 1024, dtype=np.float32, seed=3)
     for p in weights.parameters():
         p.requires_grad = False
@@ -412,7 +412,7 @@ def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypat
     # as the neighbour of both, and the skipped search gives the same offsets
     base = random_cloud(12, 31).points
     cloud = PointCloud(np.concatenate([base, base, random_cloud(8, 32).points]))
-    config = tiny_config(mode=mode, k=1, oa_layers=2, backend="ball_query", radius=0.5, m=6)
+    config = tiny_config(mode=mode, k=1, oa_layers=2, radius=0.5, m=6)
     weights = casnet.init_weights(config, 6)
     table = knn_bruteforce(cloud, 1)
     assert (table.indices[:, 0] != np.arange(cloud.n)).any()

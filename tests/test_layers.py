@@ -44,7 +44,7 @@ def tape_soft_matrix(f_concat, weights):
 
 def tape_forward(cloud, config, weights):
     """The whole sampler on the tape; returns (P_sp, S~)."""
-    table = find_neighbors(cloud, config.backend, config.k, config.radius)
+    table = find_neighbors(cloud, config.radius, config.k)
     f = tape_embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights)
     outputs = []
     for lay in weights.layers:
@@ -56,7 +56,7 @@ def tape_forward(cloud, config, weights):
 
 
 def config_of(**overrides):
-    base = dict(k=4, oa_layers=2, c=8, m=5, mode="assn", backend="ball_query", radius=0.3, embed_hidden=8, score_hidden=8, seed=0)
+    base = dict(k=4, oa_layers=2, c=8, m=5, mode="assn", radius=0.3, embed_hidden=8, score_hidden=8, seed=0)
     base.update(overrides)
     return CasNetConfig(**base)
 
@@ -89,7 +89,7 @@ def assert_close(got, want):
 
 def padded_input(n, k, radius, seed):
     cloud = PointCloud(np.random.default_rng(seed).random((n, 3)))
-    table = find_neighbors(cloud, "ball_query", k, radius)
+    table = find_neighbors(cloud, radius, k)
     return casnet.combine(cloud, casnet.group_features(cloud, table)), table
 
 
@@ -276,7 +276,7 @@ def test_network_gradients_match_tape(mode, k, oa_layers, radius):
     params = weights.parameters()
 
     def loss(p_sp, soft):
-        return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(soft, "columns"), 1.0, 1.0).total
+        return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(ad.transpose(soft)), 1.0, 1.0).total
 
     _, cache = casnet.forward(cloud, config, weights)
     p_sp, soft = tape_forward(cloud, config, weights)

@@ -180,6 +180,15 @@ def test_ball_query_matches_full_sort_on_lidar_scale_float32_cloud():
     assert (table[rows] == -1).any() and (table[rows, -1] >= 0).any()
 
 
+def test_ball_query_at_an_unbounded_radius_is_brute_force_on_a_lidar_scale_float32_cloud():
+    # the one search serves as k nearest neighbours too: radius=inf ranks the
+    # whole cloud, index for index as the brute-force oracle does
+    cloud = PointCloud(_lidar_like_cloud(np.random.default_rng(47), 4096))
+    table = ball_query(cloud, np.inf, 32).indices
+    assert (table >= 0).all()
+    assert np.array_equal(table, knn_bruteforce(cloud, 32).indices)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ball_query_lattice_with_spacing_equal_to_radius(dtype, cell_runs):
     # spacing 0.5 is exact in binary, so axis neighbours sit at d == r^2 exactly

@@ -140,12 +140,10 @@ def _tiny_train(mode, seed=0, epochs=2, beta=1.0):
         c=8,
         m=8,
         mode=mode,
-        backend="ball_query",
         seed=seed,
         beta=beta,
         embed_hidden=8,
         score_hidden=8,
-        cosine_axis="columns",
     )
     spec = DatasetSpec(train_per_class=4, test_per_class=2, points_per_cloud=32, seed=seed)
     dataset = generate_dataset(spec)
@@ -170,7 +168,7 @@ def test_history_csv_header_is_the_epoch_fields_and_rows_keep_their_format():
 
 def test_train_degenerate_full_output_size_runs():
     config = CasNetConfig(
-        k=1, oa_layers=1, c=8, m=16, mode="assn", backend="ball_query",
+        k=1, oa_layers=1, c=8, m=16, mode="assn",
         embed_hidden=8, score_hidden=8, seed=0,
     )
     spec = DatasetSpec(train_per_class=2, test_per_class=1, points_per_cloud=16, seed=1)
@@ -263,7 +261,7 @@ def test_train_computes_in_float32_and_leaves_the_callers_clouds_alone():
     spec = DatasetSpec(train_per_class=2, test_per_class=1, points_per_cloud=32, seed=1)
     dataset = generate_dataset(spec)
     before = [it.cloud.points.copy() for it in dataset.train + dataset.test]
-    config = CasNetConfig(k=4, oa_layers=1, c=8, m=8, mode="ahsn", backend="ball_query", embed_hidden=8, score_hidden=8, cosine_axis="columns")
+    config = CasNetConfig(k=4, oa_layers=1, c=8, m=8, mode="ahsn", embed_hidden=8, score_hidden=8)
     weights, head, _ = training.train(config, dataset, epochs=1, lr=1e-3, batch_size=3)
     arrays = {**weights.to_arrays(), **head.to_arrays()}
     assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
