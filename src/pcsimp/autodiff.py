@@ -24,6 +24,9 @@ from .core import ConfigError, IoFailureError, ShapeMismatchError
 
 WEIGHTS_FORMAT_VERSION = 1
 
+# finite_diff_check's step
+FD_EPS = 1e-6
+
 
 class Tensor:
     """Shape-tagged dense array participating in the differentiation graph."""
@@ -255,11 +258,11 @@ def ste_harden(soft: Tensor, rows: np.ndarray) -> Tensor:
     return custom(hard, (soft,), lambda g: (g,))
 
 
-def finite_diff_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor], eps: float = 1e-6) -> float:
+def finite_diff_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor]) -> float:
     """Central-difference check of autodiff gradients.
 
     Runs f once, backpropagates, then perturbs every entry of every parameter
-    by +/-eps to build the central-difference gradient. Returns the worst
+    by +/-FD_EPS to build the central-difference gradient. Returns the worst
     per-parameter relative disagreement
     ||g_ad - g_fd|| / max(1e-12, ||g_ad|| + ||g_fd||); the norm comparison
     keeps individual entries whose true gradient sits below the
@@ -278,12 +281,12 @@ def finite_diff_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[
         g_fd = np.zeros(flat.size)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             f_plus = float(f(params).data)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             f_minus = float(f(params).data)
             flat[i] = orig
-            g_fd[i] = (f_plus - f_minus) / (2.0 * eps)
+            g_fd[i] = (f_plus - f_minus) / (2.0 * FD_EPS)
         g_flat = g_ad.reshape(-1)
         err = np.linalg.norm(g_flat - g_fd) / max(1e-12, np.linalg.norm(g_flat) + np.linalg.norm(g_fd))
         worst = max(worst, float(err))

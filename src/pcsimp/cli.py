@@ -28,6 +28,7 @@ from .core import (
     SENTINEL,
     ShapeMismatchError,
     at_least,
+    check_k,
     check_radius,
     ratio_to_count,
     read_text,
@@ -249,19 +250,22 @@ def cmd_bench(args) -> int:
 def cmd_nnbench(args) -> int:
     check_radius(args.radius)
     at_least("seed", args.seed, 0)
+    for n in args.n:
+        for k in args.k:
+            check_k(k, n)
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>6} {'k':>4} {'time_s':>10}  verified")
     failures = 0
     for n in args.n:
-        cloud = PointCloud(rng.random((n, 3)) * 2.0)
+        # a cube 8 wide: at the default radius the grid has four cells a side,
+        # so the timed search is the grid's and the reference ranks whole rows
+        cloud = PointCloud(rng.random((n, 3)) * 8.0)
         for k in args.k:
-            if k > n:
-                continue
             started = time.perf_counter()
             table = nnsearch.ball_query(cloud, args.radius, k)
             elapsed = time.perf_counter() - started
             # rows are nearest-first, so the in-radius entries of the k-NN rows form a prefix
-            reference = nnsearch.knn_bruteforce(cloud, k).indices
+            reference = nnsearch.ball_query(cloud, np.inf, k).indices
             diff = cloud.points[reference] - cloud.points[:, None, :]
             inside = (diff * diff).sum(axis=-1) <= np.asarray(args.radius, dtype=cloud.points.dtype) ** 2
             ok = np.array_equal(table.indices, np.where(inside, reference, SENTINEL))
@@ -350,7 +354,7 @@ def _attention_rows(f: np.ndarray, lay) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True) @ (f @ lay.wv.data)
 
 
-def end_to_end_assn_check(eps: float = 1e-6) -> float:
+def end_to_end_assn_check() -> float:
     """Finite-difference check of the full soft-forward total loss on tiny setups.
 
     Two cases: one attention layer over 16 points whose 2 nearest neighbors
@@ -363,10 +367,10 @@ def end_to_end_assn_check(eps: float = 1e-6) -> float:
     rng = np.random.default_rng(7)
     cloud = PointCloud(rng.random((16, 3)))
     cases = (dict(k=2, oa_layers=1, radius=2.0), dict(k=4, oa_layers=2, radius=0.3))
-    return max(_assn_case(cloud, CasNetConfig(**case, c=8, m=4, mode="assn", seed=3, embed_hidden=8, score_hidden=8), eps) for case in cases)
+    return max(_assn_case(cloud, CasNetConfig(**case, c=8, m=4, mode="assn", seed=3, embed_hidden=8, score_hidden=8)) for case in cases)
 
 
-def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
+def _assn_case(cloud: PointCloud, config: CasNetConfig) -> float:
     weights = casnet.init_weights(config, 4, dtype=np.float64)
     head = training.init_head(3, hidden=8, dtype=np.float64, seed=11)
     params = weights.parameters() + head.parameters()
@@ -391,12 +395,12 @@ def _assn_case(cloud: PointCloud, config: CasNetConfig, eps: float) -> float:
     pre_score = cache.f_concat.data @ weights.rho_hidden[0].data
     weights.rho_hidden[1].data[...] = -np.median(pre_score, axis=0)
 
-    return ad.finite_diff_check(objective, params, eps=eps)
+    return ad.finite_diff_check(objective, params)
 
 
 def cmd_gradcheck(args) -> int:
-    rows = [(name, ad.finite_diff_check(fn, params, eps=1e-6), 1e-4) for name, params, fn in _gradcheck_op_cases()]
-    rows.append(("end-to-end", end_to_end_assn_check(eps=1e-6), 1e-3))
+    rows = [(name, ad.finite_diff_check(fn, params), 1e-4) for name, params, fn in _gradcheck_op_cases()]
+    rows.append(("end-to-end", end_to_end_assn_check(), 1e-3))
     print(f"{'op':<15} {'max_rel_err':>12} {'threshold':>10}  status")
     for name, err, bound in rows:
         print(f"{name:<15} {err:>12.3e} {bound:>10.0e}  {'ok' if err < bound else 'FAIL'}")

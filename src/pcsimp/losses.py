@@ -11,24 +11,15 @@ from .autodiff import Tensor
 from .core import EmptyCloudError, PointCloud, ShapeMismatchError
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, PointCloud):
-        return Tensor(x.points)
-    return Tensor(np.asarray(x))
-
-
-def subset_loss(p_in: PointCloud, p_sp) -> Tensor:
+def subset_loss(p_in: PointCloud, p_sp: Tensor) -> Tensor:
     """Bidirectional mean of squared minimum distances between the two clouds.
 
     Keeps every input point near some output point and the output points
     spread over the input. The min backpropagates through its argmin branch
     (ties to the lower index).
     """
-    sp = _as_tensor(p_sp)
-    a = p_in.points.astype(sp.data.dtype, copy=False)
-    b = sp.data
+    a = p_in.points.astype(p_sp.data.dtype, copy=False)
+    b = p_sp.data
     n, m = a.shape[0], b.shape[0]
     if m == 0:
         raise EmptyCloudError("subset_loss requires a non-empty output cloud")
@@ -37,21 +28,20 @@ def subset_loss(p_in: PointCloud, p_sp) -> Tensor:
     nearest_out = d.argmin(axis=1)  # for each input point
     nearest_in = d.argmin(axis=0)  # for each output point
 
-    d1 = ad.sub(Tensor(a), ad.gather_rows(sp, nearest_out))
+    d1 = ad.sub(Tensor(a), ad.gather_rows(p_sp, nearest_out))
     term1 = ad.scale(ad.tsum(ad.mul(d1, d1)), 1.0 / n)
-    d2 = ad.sub(sp, Tensor(a[nearest_in]))
+    d2 = ad.sub(p_sp, Tensor(a[nearest_in]))
     term2 = ad.scale(ad.tsum(ad.mul(d2, d2)), 1.0 / m)
     return ad.add(term1, term2)
 
 
-def cosine_loss(v) -> Tensor:
+def cosine_loss(v: Tensor) -> Tensor:
     """Sum of |cos| over ordered pairs of distinct row vectors of v.
 
     Large values mean many near-parallel vectors: given the transposed soft
     matrix, whose rows are its columns, duplicated selections. Zero vectors
     contribute zero by convention.
     """
-    v = _as_tensor(v)
     p = v.data.shape[0]
     if p < 2:
         raise ShapeMismatchError("need at least two vectors")

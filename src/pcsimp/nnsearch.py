@@ -1,10 +1,10 @@
-"""Neighborhood search over point clouds: a uniform-grid ball query, and
-exact k nearest neighbors by brute force, the oracle it is checked against.
+"""Neighborhood search over point clouds: a uniform-grid ball query.
 
-Both share the same contract: row i of the result lists neighbor
-indices of point i nearest-first, ties broken toward the lower index, with -1
-padding any unused slots. The query point itself is a valid neighbor at
-distance zero. Distances are compared squared; no square roots are taken.
+Row i of a table lists neighbor indices of point i nearest-first, ties broken
+toward the lower index, with -1 padding any unused slots. The query point
+itself is a valid neighbor at distance zero. Distances are compared squared;
+no square roots are taken. Exact k nearest neighbors is the ball query at
+radius=inf, which ranks every point against the whole cloud.
 """
 
 from __future__ import annotations
@@ -69,33 +69,14 @@ def _rank_block(pts: np.ndarray, rows: np.ndarray, cand: np.ndarray, r2, k: int,
     out[rows, kept:] = SENTINEL
 
 
-def _rank_everyone(pts: np.ndarray, r2, k: int, out: np.ndarray) -> None:
-    """Rank every row against the whole cloud, in blocks of rows."""
-    n = pts.shape[0]
-    everyone = np.arange(n)
-    step = _block_rows(n, n)
-    for lo in range(0, n, step):
-        _rank_block(pts, everyone[lo : lo + step], everyone, r2, k, out)
-
-
-def knn_bruteforce(cloud: PointCloud, k: int) -> NeighborTable:
-    """Exact k nearest neighbors, every point a candidate of every row."""
-    pts = cloud.points
-    n = pts.shape[0]
-    check_k(k, n)
-    out = np.empty((n, k), dtype=np.int64)
-    _rank_everyone(pts, np.inf, k, out)
-    return NeighborTable(out)
-
-
 def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     """Up to k nearest neighbors within `radius`; missing slots hold -1.
 
     Points are bucketed into a uniform grid whose cell edge is at least the
     radius, so every neighbor of a point lies in the 27 cells around its own.
     A cloud at most two cells wide on every axis, where those 27 cells hold
-    every point, is ranked whole, as brute force does. Otherwise the queries
-    of a run of consecutive cells share the union of those lists as
+    every point, is ranked whole; at radius=inf every cloud is. Otherwise the
+    queries of a run of consecutive cells share the union of those lists as
     candidates, and the result is index-identical to ranking the whole cloud.
     """
     check_radius(radius)
@@ -115,7 +96,10 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     if cell.max() <= 1:
         # at most two cells a side: every point's 27 cells hold the whole
         # cloud, so the grid would prune nothing
-        _rank_everyone(pts, r2, k, out)
+        everyone = np.arange(n)
+        step = _block_rows(n, n)
+        for b in range(0, n, step):
+            _rank_block(pts, everyone[b : b + step], everyone, r2, k, out)
         return NeighborTable(out)
     cell += 1  # room for the -1 neighbor
     dims = cell.max(axis=0) + 2
@@ -148,6 +132,5 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     return NeighborTable(out)
 
 
-# the sampler's search, under the name callers look up and wrap; brute-force
-# k nearest neighbors is ball_query at radius=inf
+# the sampler's search, under the name callers look up and wrap
 find_neighbors = ball_query

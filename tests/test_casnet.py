@@ -13,7 +13,7 @@ from pcsimp.core import (
     ShapeMismatchError,
 )
 from pcsimp.losses import cosine_loss, subset_loss, total_loss
-from pcsimp.nnsearch import ball_query, knn_bruteforce
+from pcsimp.nnsearch import ball_query
 from test_nnsearch import _lidar_like_cloud
 
 
@@ -39,7 +39,7 @@ def random_cloud(n, seed=0, dtype=np.float64):
 
 def test_group_features_self_neighbor_gives_zeros():
     cloud = random_cloud(6, 1)
-    table = knn_bruteforce(cloud, 1)
+    table = ball_query(cloud, np.inf, 1)
     grouped = casnet.group_features(cloud, table)
     assert grouped.shape == (6, 1, 3)
     assert np.all(grouped == 0)
@@ -75,7 +75,7 @@ def test_embed_is_invariant_to_neighbor_order():
     config = tiny_config(k=3)
     cloud = random_cloud(5, 2)
     weights = casnet.init_weights(config, 4)
-    table = knn_bruteforce(cloud, 3)
+    table = ball_query(cloud, np.inf, 3)
     combined = casnet.combine(cloud, casnet.group_features(cloud, table))
     base = casnet.embed(combined, weights).data
     permuted = combined[:, [2, 0, 1], :]
@@ -336,7 +336,7 @@ def test_backward_ste_gradients_reach_score_weights():
     loss = total_loss(
         Tensor(np.asarray(0.0)),
         subset_loss(cloud, cache.p_sp),
-        cosine_loss(cache.soft),
+        cosine_loss(ad.transpose(cache.soft)),
         1.0,
         1.0,
     )
@@ -360,7 +360,7 @@ def test_ste_matches_soft_gradients_when_soft_is_nearly_one_hot():
         loss = total_loss(
             Tensor(np.asarray(0.0)),
             subset_loss(cloud, cache.p_sp),
-            cosine_loss(cache.soft),
+            cosine_loss(ad.transpose(cache.soft)),
             1.0,
             1.0,
         )
@@ -414,7 +414,7 @@ def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypat
     cloud = PointCloud(np.concatenate([base, base, random_cloud(8, 32).points]))
     config = tiny_config(mode=mode, k=1, oa_layers=2, radius=0.5, m=6)
     weights = casnet.init_weights(config, 6)
-    table = knn_bruteforce(cloud, 1)
+    table = ball_query(cloud, np.inf, 1)
     assert (table.indices[:, 0] != np.arange(cloud.n)).any()
     f_concat, _ = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights)
     soft, rows = casnet.soft_matrix(f_concat, weights)

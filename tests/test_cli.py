@@ -7,7 +7,7 @@ import pytest
 from pcsimp import autodiff as ad
 from pcsimp import casnet, classic_samplers, nnsearch, training
 from pcsimp.cli import main
-from pcsimp.core import CasNetConfig, NeighborTable, PointCloud
+from pcsimp.core import CasNetConfig, PointCloud
 from pcsimp.io import read_xyz, write_xyz
 
 
@@ -183,14 +183,34 @@ def test_nnbench_verifies_backends(capsys):
     assert all(row.split()[-1] == "match" for row in rows)
 
 
-def test_nnbench_flags_a_ball_query_with_reversed_rows(monkeypatch, capsys):
-    exact = nnsearch.ball_query
-    # every reversed row still lists only in-radius neighbours, in the wrong order
-    monkeypatch.setattr(nnsearch, "ball_query", lambda cloud, radius, k: NeighborTable(exact(cloud, radius, k).indices[:, ::-1]))
-    code = main(["nnbench", "--n", "512", "--k", "8", "--radius", "0.3"])
+def test_nnbench_flags_a_grid_that_drops_a_candidate(monkeypatch, capsys):
+    rank = nnsearch._rank_block
+
+    def faulty(pts, rows, cand, r2, k, out):
+        # a fault in the grid alone: the whole-cloud reference ranks every point
+        rank(pts, rows, cand[1:] if len(cand) < len(pts) else cand, r2, k, out)
+
+    monkeypatch.setattr(nnsearch, "_rank_block", faulty)
+    code = main(["nnbench", "--n", "512", "--k", "8"])
     assert code == 1
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 1 and rows[0].split()[:2] == ["512", "8"] and rows[0].endswith("MISMATCH")
+
+
+def test_nnbench_default_cloud_takes_the_grid(ranked_blocks, capsys):
+    assert main(["nnbench"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["1024"] * 3 and all(row.endswith(" match") for row in rows)
+    # the reference ranks every row against all 1024 points; the grid ranks fewer
+    assert min(cand for _, cand in ranked_blocks) < 1024
+
+
+def test_nnbench_rejects_k_above_n_before_printing(capsys):
+    code = main(["nnbench", "--n", "512,64", "--k", "8,100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: k=100 exceeds cloud size 64\n"
 
 
 @pytest.mark.parametrize("radius", ["nan", "0", "-1"])

@@ -5,10 +5,7 @@ import pytest
 
 from pcsimp import nnsearch, training
 from pcsimp.core import ConfigError, PointCloud
-from pcsimp.nnsearch import (
-    ball_query,
-    knn_bruteforce,
-)
+from pcsimp.nnsearch import ball_query
 
 
 def knn_oracle(pts, k):
@@ -42,31 +39,31 @@ def ball_oracle(pts, radius, k):
 
 def test_knn_self_plus_nearest():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1, 0, 0], [3, 0, 0]]))
-    table = knn_bruteforce(cloud, 2)
+    table = ball_query(cloud, np.inf, 2)
     assert table.indices[0].tolist() == [0, 1]
     assert table.indices[2].tolist() == [2, 1]
 
 
 def test_knn_single_point():
-    table = knn_bruteforce(PointCloud(np.zeros((1, 3))), 1)
+    table = ball_query(PointCloud(np.zeros((1, 3))), np.inf, 1)
     assert table.indices.tolist() == [[0]]
 
 
 def test_knn_matches_oracle_on_random_points():
     rng = np.random.default_rng(11)
     pts = rng.uniform(size=(10, 3))
-    table = knn_bruteforce(PointCloud(pts), 3)
+    table = ball_query(PointCloud(pts), np.inf, 3)
     assert np.array_equal(table.indices, knn_oracle(pts, 3))
 
 
 def test_knn_rejects_k_above_n():
     with pytest.raises(ConfigError, match=r"^k=3 exceeds cloud size 2$"):
-        knn_bruteforce(PointCloud(np.zeros((2, 3))), 3)
+        ball_query(PointCloud(np.zeros((2, 3))), np.inf, 3)
 
 
 def test_knn_duplicate_points_tie_break_to_lower_index():
     pts = np.array([[1.0, 1, 1], [0, 0, 0], [1, 1, 1]])
-    table = knn_bruteforce(PointCloud(pts), 1)
+    table = ball_query(PointCloud(pts), np.inf, 1)
     # row 2 duplicates row 0; the lower index wins the distance-0 tie
     assert table.indices[2, 0] == 0
     assert table.indices[0, 0] == 0
@@ -94,8 +91,8 @@ def test_ball_query_matches_oracle_on_random_points():
 
 def test_ball_query_with_huge_radius_equals_knn():
     rng = np.random.default_rng(7)
-    cloud = PointCloud(rng.normal(size=(40, 3)))
-    assert np.array_equal(ball_query(cloud, 1e6, 6).indices, knn_bruteforce(cloud, 6).indices)
+    pts = rng.normal(size=(40, 3))
+    assert np.array_equal(ball_query(PointCloud(pts), 1e6, 6).indices, knn_oracle(pts, 6))
 
 
 def test_ball_query_never_exceeds_radius():
@@ -111,7 +108,7 @@ def test_ball_query_never_exceeds_radius():
 def test_every_backend_returns_self_first_on_distinct_points():
     rng = np.random.default_rng(13)
     cloud = PointCloud(rng.normal(size=(30, 3)))
-    for table in (knn_bruteforce(cloud, 4), ball_query(cloud, 10.0, 4)):
+    for table in (ball_query(cloud, np.inf, 4), ball_query(cloud, 10.0, 4)):
         assert np.array_equal(table.indices[:, 0], np.arange(30))
 
 
@@ -123,7 +120,7 @@ def test_neighbor_tables_satisfy_invariants(backend):
         k = int(rng.integers(1, n + 1))
         cloud = PointCloud(rng.normal(size=(n, 3)))
         if backend == "brute":
-            table = knn_bruteforce(cloud, k)
+            table = ball_query(cloud, np.inf, k)
         else:
             table = ball_query(cloud, float(rng.uniform(0.1, 3.0)), k)
         idx = table.indices
@@ -182,11 +179,12 @@ def test_ball_query_matches_full_sort_on_lidar_scale_float32_cloud():
 
 def test_ball_query_at_an_unbounded_radius_is_brute_force_on_a_lidar_scale_float32_cloud():
     # the one search serves as k nearest neighbours too: radius=inf ranks the
-    # whole cloud, index for index as the brute-force oracle does
-    cloud = PointCloud(_lidar_like_cloud(np.random.default_rng(47), 4096))
-    table = ball_query(cloud, np.inf, 32).indices
+    # whole cloud, index for index as a full sort of every row does
+    pts = _lidar_like_cloud(np.random.default_rng(47), 4096)
+    table = ball_query(PointCloud(pts), np.inf, 32).indices
     assert (table >= 0).all()
-    assert np.array_equal(table, knn_bruteforce(cloud, 32).indices)
+    expected = [_full_sort_rows(pts, rows, np.inf, 32) for rows in np.array_split(np.arange(len(pts)), 8)]
+    assert np.array_equal(table, np.concatenate(expected))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -209,7 +207,7 @@ def test_ball_query_duplicates_and_negative_coordinates(cell_runs):
     pts = np.concatenate([base, base[::4], -0.0 * base[:3], [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]])
     for k in (1, 9):
         assert np.array_equal(ball_query(PointCloud(pts), 0.6, k).indices, ball_oracle(pts, 0.6, k))
-        assert np.array_equal(knn_bruteforce(PointCloud(pts), k).indices, knn_oracle(pts, k))
+        assert np.array_equal(ball_query(PointCloud(pts), np.inf, k).indices, knn_oracle(pts, k))
 
 
 @pytest.mark.parametrize("dtype,finest", [(np.float32, 22), (np.float64, 51)])
@@ -267,7 +265,7 @@ def test_k_equal_to_n(dtype):
     rng = np.random.default_rng(61)
     pts = rng.normal(size=(40, 3)).astype(dtype)
     cloud = PointCloud(pts)
-    assert np.array_equal(knn_bruteforce(cloud, 40).indices, knn_oracle(pts, 40))
+    assert np.array_equal(ball_query(cloud, np.inf, 40).indices, knn_oracle(pts, 40))
     assert np.array_equal(ball_query(cloud, 1.5, 40).indices, ball_oracle(pts, 1.5, 40))
 
 
@@ -298,22 +296,8 @@ def test_one_block_with_rows_tied_at_the_kth_distance_and_rows_not(dtype):
     tied = ranked[:, k - 1] == ranked[:, k]
     assert tied[:27].any() and not tied[27:].any()
     expected = _full_sort_rows(pts, np.arange(len(pts)), np.inf, k)
-    assert np.array_equal(knn_bruteforce(PointCloud(pts), k).indices, expected)
+    assert np.array_equal(ball_query(PointCloud(pts), np.inf, k).indices, expected)
     assert np.array_equal(ball_query(PointCloud(pts), 1e6, k).indices, expected)
-
-
-@pytest.fixture
-def ranked_blocks(monkeypatch):
-    """The (rows, candidates) sizes of every ranking-kernel call."""
-    calls = []
-    rank = nnsearch._rank_block
-
-    def recording(pts, rows, cand, r2, k, out):
-        calls.append((len(rows), len(cand)))
-        rank(pts, rows, cand, r2, k, out)
-
-    monkeypatch.setattr(nnsearch, "_rank_block", recording)
-    return calls
 
 
 def test_ball_query_ranks_a_cloud_two_cells_wide_in_one_call(ranked_blocks):
