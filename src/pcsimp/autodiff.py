@@ -391,11 +391,13 @@ def init_tensors(shapes: dict[str, tuple[int, ...]], seed: int, dtype) -> dict[s
 
 
 def matrix_shape(arrays: dict[str, np.ndarray], name: str) -> tuple[int, int]:
-    """The shape of the matrix `name`; ShapeMismatchError when it is missing
-    or not two-dimensional."""
+    """The shape of the matrix `name`; ShapeMismatchError when it is missing,
+    not two-dimensional or zero wide in either dimension."""
     a = arrays.get(name)
     if a is None or a.ndim != 2:
         raise ShapeMismatchError(f"{name} is missing" if a is None else f"{name} has shape {a.shape}, expected a matrix")
+    if 0 in a.shape:
+        raise ShapeMismatchError(f"{name} has shape {a.shape}, expected no zero width")
     return a.shape
 
 

@@ -120,29 +120,13 @@ class CasNetWeights:
         e, c = ad.matrix_shape(arrays, "sigma.1.w")
         rows, s = ad.matrix_shape(arrays, "rho.hidden.w")
         m = ad.matrix_shape(arrays, "rho.out.w")[1]
-        return cls(ad.constants(arrays, layout(e, c, s, m, max(1, rows // max(c, 1)))))
+        return cls(ad.constants(arrays, layout(e, c, s, m, max(1, rows // c))))
 
 
 def init_weights(config: CasNetConfig, m: int, dtype=np.float64, seed: int | None = None) -> CasNetWeights:
     """Seeded uniform init in [-sqrt(1/fan_in), +sqrt(1/fan_in)]; zero biases."""
     shapes = layout(config.embed_hidden, config.c, config.score_hidden, m, config.oa_layers)
     return CasNetWeights(ad.init_tensors(shapes, config.seed if seed is None else seed, dtype))
-
-
-@dataclass
-class ForwardCache:
-    """Every intermediate of one forward pass, kept for the backward.
-
-    `rows` lists the input row each output point of a hard (AHSN) sample
-    copies; it is None for a soft (ASSN) one.
-    """
-
-    f_pointwise: Tensor
-    f_oa: list[Tensor]
-    f_concat: Tensor
-    soft: Tensor
-    rows: np.ndarray | None
-    p_sp: Tensor
 
 
 def group_features(cloud: PointCloud, neighbors: NeighborTable) -> np.ndarray:
@@ -321,15 +305,15 @@ def offset_attention(f_in: Tensor, lay: OaLayerWeights) -> Tensor:
     return ad.custom(out, parents, vjp)
 
 
-def asm(f_pointwise: Tensor, weights: CasNetWeights) -> tuple[Tensor, list[Tensor]]:
+def asm(f_embed: Tensor, weights: CasNetWeights) -> Tensor:
     """Stack of skip-connected attention layers, one per layer the weights
     hold; outputs concatenated column-wise."""
     outputs = []
-    current = f_pointwise
+    current = f_embed
     for lay in weights.layers:
         current = offset_attention(current, lay)
         outputs.append(current)
-    return ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], outputs
+    return ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0]
 
 
 def soft_matrix(f_concat: Tensor, weights: CasNetWeights, keep_soft: bool = True) -> tuple[Tensor | None, np.ndarray]:
@@ -382,8 +366,9 @@ def soft_matrix(f_concat: Tensor, weights: CasNetWeights, keep_soft: bool = True
     return ad.custom(soft, (f_concat, w1, b1, w2), vjp), rows
 
 
-def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
-    """Neighbor search, grouping, embedding and the attention stack, in the weights' dtype."""
+def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> Tensor:
+    """Neighbor search, grouping, embedding and the attention stack, in the
+    weights' dtype: the concatenated attention features."""
     config.validate(cloud.n)
     weights.check_fits(config.oa_layers, config.output_count(cloud.n))
     dtype = weights.sigma[0][0].data.dtype
@@ -396,45 +381,36 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights):
         neighbors = find_neighbors(cloud, config.radius, config.k)
         f_group = group_features(cloud, neighbors).astype(dtype, copy=False)
     f_combine = combine(cloud, f_group).astype(dtype, copy=False)
-    f_pointwise = embed(f_combine, weights)
-    f_concat, f_oa = asm(f_pointwise, weights)
-    return f_pointwise, f_oa, f_concat
+    return asm(embed(f_combine, weights), weights)
 
 
-def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[PointCloud, ForwardCache]:
-    """Graph-building forward pass; the cache retains every intermediate."""
-    f_pointwise, f_oa, f_concat = _encode(cloud, config, weights)
-    s_tilde, rows = soft_matrix(f_concat, weights)
-
+def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[SampleResult, Tensor, Tensor]:
+    """Graph-building forward pass. Returns the sample, as sample() returns
+    it, with the two tape tensors the objective reads: the sampled points
+    p_sp (m x 3) and the soft matrix S~ (n x m). A hard (AHSN) sample holds
+    the cloud's exact rows, not the product that forms p_sp."""
+    f_concat = _encode(cloud, config, weights)
+    soft, rows = soft_matrix(f_concat, weights)
     p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
     if config.mode == "ahsn":
-        p_sp = ad.matmul(ad.transpose(ad.ste_harden(s_tilde, rows)), p_in)
-        out_cloud = PointCloud(cloud.points[rows])  # exact rows, not the matmul
-    else:
-        p_sp = ad.matmul(ad.transpose(s_tilde), p_in)
-        rows = None
-        out_cloud = PointCloud(p_sp.data)
-    cache = ForwardCache(
-        f_pointwise=f_pointwise,
-        f_oa=f_oa,
-        f_concat=f_concat,
-        soft=s_tilde,
-        rows=rows,
-        p_sp=p_sp,
-    )
-    return out_cloud, cache
+        p_sp = ad.matmul(ad.transpose(ad.ste_harden(soft, rows)), p_in)
+        return SampleResult(PointCloud(cloud.points[rows]), rows), p_sp, soft
+    p_sp = ad.matmul(ad.transpose(soft), p_in)
+    return SampleResult(PointCloud(p_sp.data), None), p_sp, soft
 
 
-def backward_ste(loss_root: Tensor, cache: ForwardCache) -> None:
+def backward_ste(loss_root: Tensor, sampled: SampleResult) -> None:
     """Backward for the hard forward: the hardening step passes gradients through
     to the soft matrix unchanged (already wired in by the forward's STE node).
+    `sampled` is the sample forward() returned; a soft one, with no indices,
+    raises ConfigError.
 
     Note that finite-difference checks do not apply to the hard forward: it is
     piecewise constant in the weights, so its true derivative is zero almost
     everywhere and the straight-through gradient is deliberately not that.
     """
-    if cache.rows is None:
-        raise ConfigError("backward_ste requires an AHSN forward cache")
+    if sampled.indices is None:
+        raise ConfigError("backward_ste requires an AHSN sample")
     ad.backward(loss_root)
 
 
@@ -448,7 +424,7 @@ def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> S
     plus the selected row indices (None for ASSN).
     """
     weights = weights.detached(cloud.points.dtype)
-    *_, f_concat = _encode(cloud, config, weights)
+    f_concat = _encode(cloud, config, weights)
     soft, rows = soft_matrix(f_concat, weights, keep_soft=config.mode == "assn")
     if soft is None:
         return SampleResult(PointCloud(cloud.points[rows]), rows)

@@ -192,6 +192,9 @@ def cmd_bench(args) -> int:
     labels = _read_labels(args.labels) if args.labels else None
     if labels is not None and not any(name in labels for name, _ in clouds):
         raise PcsimpError(f"{args.labels} names none of the clouds in {args.input}")
+    for name, label in (labels or {}).items():
+        if not 0 <= label < head.n_classes:
+            raise PcsimpError(f"{args.labels}: {name} has label {label}, outside the head's {head.n_classes} classes")
     # every (cloud, ratio) is checked before any timing
     counts = {ratio: [ratio_to_count(cloud.n, ratio) for _, cloud in clouds] for ratio in ratios}
     setups = {}
@@ -254,12 +257,14 @@ def cmd_nnbench(args) -> int:
         for k in args.k:
             check_k(k, n)
     rng = np.random.default_rng(args.seed)
+    # cubes 8 wide: at the default radius the grid has four cells a side, so
+    # the timed search is the grid's and the reference ranks whole rows
+    clouds = [PointCloud(rng.random((n, 3)) * 8.0) for n in args.n]
+    # one untimed call, so no row carries the process's first-call cost
+    nnsearch.ball_query(clouds[0], args.radius, args.k[0])
     print(f"{'n':>6} {'k':>4} {'time_s':>10}  verified")
     failures = 0
-    for n in args.n:
-        # a cube 8 wide: at the default radius the grid has four cells a side,
-        # so the timed search is the grid's and the reference ranks whole rows
-        cloud = PointCloud(rng.random((n, 3)) * 8.0)
+    for n, cloud in zip(args.n, clouds):
         for k in args.k:
             started = time.perf_counter()
             table = nnsearch.ball_query(cloud, args.radius, k)
@@ -387,12 +392,14 @@ def _assn_case(cloud: PointCloud, config: CasNetConfig) -> float:
     # a constant, which the column softmax cancels: the true gradient is
     # exactly zero and finite differences see only roundoff there. Layer by
     # layer, since each bias moves the input of the next layer.
-    for i, lay in enumerate(weights.layers):
-        _, cache = casnet.forward(cloud, config, weights)
-        f = (cache.f_oa[i - 1] if i else cache.f_pointwise).data
-        lay.bg.data[...] = -np.median((f - _attention_rows(f, lay)) @ lay.wg.data, axis=0)
-    _, cache = casnet.forward(cloud, config, weights)
-    pre_score = cache.f_concat.data @ weights.rho_hidden[0].data
+    neighbors = nnsearch.ball_query(cloud, config.radius, config.k)
+    f = casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, neighbors)), weights)
+    outputs = []
+    for lay in weights.layers:
+        lay.bg.data[...] = -np.median((f.data - _attention_rows(f.data, lay)) @ lay.wg.data, axis=0)
+        f = casnet.offset_attention(f, lay)
+        outputs.append(f.data)
+    pre_score = np.concatenate(outputs, axis=1) @ weights.rho_hidden[0].data
     weights.rho_hidden[1].data[...] = -np.median(pre_score, axis=0)
 
     return ad.finite_diff_check(objective, params)

@@ -211,13 +211,13 @@ def _split_accuracy(split: list[LabeledCloud], config, weights, head, check_subs
 def cloud_loss(cloud: PointCloud, label: int, config: CasNetConfig, weights: casnet.CasNetWeights, head: ToyTaskHead):
     """The training objective of one cloud: the sampler's forward, the head on
     its output, then task + alpha * subset + beta * cosine as the config
-    sets them. Returns the loss breakdown, the head's logits and the forward
-    cache."""
-    _, cache = casnet.forward(cloud, config, weights)
-    logits = head.forward(cache.p_sp)
+    sets them. Returns the loss breakdown, the head's logits and the sample
+    the forward drew (the one casnet.backward_ste takes)."""
+    sampled, p_sp, soft = casnet.forward(cloud, config, weights)
+    logits = head.forward(p_sp)
     task = ad.cross_entropy(logits, np.array([label]))
-    subset, cosine = subset_loss(cloud, cache.p_sp), cosine_loss(ad.transpose(cache.soft))
-    return total_loss(task, subset, cosine, config.alpha, config.beta), logits, cache
+    subset, cosine = subset_loss(cloud, p_sp), cosine_loss(ad.transpose(soft))
+    return total_loss(task, subset, cosine, config.alpha, config.beta), logits, sampled
 
 
 def train(
@@ -270,11 +270,11 @@ def train(
                 p.zero_grad()
             batch_sums = np.zeros(4)
             for item in batch:
-                breakdown, logits, cache = cloud_loss(item.cloud, item.label, config, weights, head)
+                breakdown, logits, sampled = cloud_loss(item.cloud, item.label, config, weights, head)
                 train_hits += int(logits.data.argmax()) == item.label
                 contribution = ad.scale(breakdown.total, 1.0 / len(batch))
                 if config.mode == "ahsn":
-                    casnet.backward_ste(contribution, cache)
+                    casnet.backward_ste(contribution, sampled)
                 else:
                     ad.backward(contribution)
                 batch_sums += breakdown.values()

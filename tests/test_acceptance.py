@@ -46,10 +46,10 @@ def test_criterion_1_hard_sampling_outputs_are_bitwise_subsets():
         assert all(row.tobytes() in rows for row in sampled.points)
         assert sampled.n == m
         if trial % 40 == 0:  # spot-check the graph forward path as well
-            out_graph, cache = casnet.forward(cloud, config, weight_sets[m])
+            (out_graph, graph_idx), _, _ = casnet.forward(cloud, config, weight_sets[m])
             assert all(row.tobytes() in rows for row in out_graph.points)
-            assert np.array_equal(out_graph.points, cloud.points[cache.rows])
-            assert np.array_equal(cache.rows, idx)
+            assert np.array_equal(out_graph.points, cloud.points[graph_idx])
+            assert np.array_equal(graph_idx, idx)
         checked += 1
     report(
         "criterion 1 subset property",

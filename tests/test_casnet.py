@@ -160,11 +160,11 @@ def test_asm_concat_width_bookkeeping(oa_layers):
     config = tiny_config(oa_layers=oa_layers)
     weights = casnet.init_weights(config, 4)
     f = Tensor(np.random.default_rng(7).normal(size=(6, 8)))
-    concat, per_layer = casnet.asm(f, weights)
+    concat = casnet.asm(f, weights)
     assert concat.data.shape == (6, oa_layers * 8)
-    assert len(per_layer) == oa_layers
-    for b, block in enumerate(per_layer):
-        assert np.array_equal(concat.data[:, b * 8 : (b + 1) * 8], block.data)
+    for b, lay in enumerate(weights.layers):
+        f = casnet.offset_attention(f, lay)
+        assert np.array_equal(concat.data[:, b * 8 : (b + 1) * 8], f.data)
 
 
 def test_soft_matrix_constant_scores_give_uniform_columns():
@@ -216,22 +216,22 @@ def test_forward_assn_output_within_bounding_box():
     config = tiny_config(mode="assn")
     cloud = random_cloud(16, 22)
     weights = casnet.init_weights(config, 4)
-    out, cache = casnet.forward(cloud, config, weights)
+    (out, rows), _, _ = casnet.forward(cloud, config, weights)
     assert out.n == 4
     assert (out.points >= cloud.points.min(axis=0) - 1e-12).all()
     assert (out.points <= cloud.points.max(axis=0) + 1e-12).all()
-    assert cache.rows is None
+    assert rows is None
 
 
 def test_forward_ahsn_output_is_bitwise_subset():
     config = tiny_config(mode="ahsn")
     cloud = random_cloud(16, 23, dtype=np.float32)
     weights = casnet.init_weights(config, 4, dtype=np.float32)
-    out, cache = casnet.forward(cloud, config, weights)
+    (out, idx), _, _ = casnet.forward(cloud, config, weights)
     rows = {row.tobytes() for row in cloud.points}
     assert all(row.tobytes() in rows for row in out.points)
-    assert np.array_equal(out.points, cloud.points[cache.rows])
-    assert np.array_equal(cache.rows, casnet.sample(cloud, config, weights)[1])
+    assert np.array_equal(out.points, cloud.points[idx])
+    assert np.array_equal(idx, casnet.sample(cloud, config, weights)[1])
 
 
 @pytest.mark.parametrize("mode", ["ahsn", "assn"])
@@ -243,16 +243,15 @@ def test_sample_returns_the_baselines_result_type(mode):
     assert (out.indices is None) == (mode == "assn")
 
 
-def test_forward_cache_shapes():
-    config = tiny_config(oa_layers=2, k=3)
+def test_forward_returns_the_sample_and_the_tape_tensors_the_loss_reads():
     cloud = random_cloud(12, 24)
-    weights = casnet.init_weights(config, 4)
-    _, cache = casnet.forward(cloud, config, weights)
-    assert cache.f_pointwise.data.shape == (12, 8)
-    assert [t.data.shape for t in cache.f_oa] == [(12, 8), (12, 8)]
-    assert cache.f_concat.data.shape == (12, 16)
-    assert cache.soft.data.shape == (12, 4)
-    assert cache.p_sp.data.shape == (4, 3)
+    for mode in ("ahsn", "assn"):
+        config = tiny_config(mode=mode, oa_layers=2, k=3)
+        sampled, p_sp, soft = casnet.forward(cloud, config, casnet.init_weights(config, 4))
+        assert isinstance(sampled, SampleResult) and sampled.cloud.n == 4
+        assert (sampled.indices is None) == (mode == "assn")
+        assert p_sp.data.shape == (4, 3) and p_sp.requires_grad
+        assert soft.data.shape == (12, 4) and soft.requires_grad
 
 
 def test_projection_widths_share_output_dimension():
@@ -319,28 +318,28 @@ def test_from_arrays_ignores_the_other_network():
     assert list(casnet.CasNetWeights.from_arrays(arrays).to_arrays()) == list(weights.to_arrays())
 
 
-def test_backward_ste_requires_hard_cache():
+def test_backward_ste_requires_a_hard_sample():
     config = tiny_config(mode="assn")
     cloud = random_cloud(10, 25)
     weights = casnet.init_weights(config, 4)
-    _, cache = casnet.forward(cloud, config, weights)
-    with pytest.raises(ConfigError, match=r"^backward_ste requires an AHSN forward cache$"):
-        casnet.backward_ste(Tensor(np.asarray(0.0)), cache)
+    sampled, _, _ = casnet.forward(cloud, config, weights)
+    with pytest.raises(ConfigError, match=r"^backward_ste requires an AHSN sample$"):
+        casnet.backward_ste(Tensor(np.asarray(0.0)), sampled)
 
 
 def test_backward_ste_gradients_reach_score_weights():
     config = tiny_config(mode="ahsn")
     cloud = random_cloud(12, 26)
     weights = casnet.init_weights(config, 4)
-    _, cache = casnet.forward(cloud, config, weights)
+    sampled, p_sp, soft = casnet.forward(cloud, config, weights)
     loss = total_loss(
         Tensor(np.asarray(0.0)),
-        subset_loss(cloud, cache.p_sp),
-        cosine_loss(ad.transpose(cache.soft)),
+        subset_loss(cloud, p_sp),
+        cosine_loss(ad.transpose(soft)),
         1.0,
         1.0,
     )
-    casnet.backward_ste(loss.total, cache)
+    casnet.backward_ste(loss.total, sampled)
     assert np.abs(weights.rho_out.grad).max() > 0
     assert np.abs(weights.sigma[0][0].grad).max() > 0
 
@@ -356,17 +355,17 @@ def test_ste_matches_soft_gradients_when_soft_is_nearly_one_hot():
     for name, config in (("soft", config_soft), ("hard", config_hard)):
         weights = casnet.init_weights(config, 4)
         weights.rho_out.data *= 1e5
-        _, cache = casnet.forward(cloud, config, weights)
+        _, p_sp, soft = casnet.forward(cloud, config, weights)
         loss = total_loss(
             Tensor(np.asarray(0.0)),
-            subset_loss(cloud, cache.p_sp),
-            cosine_loss(ad.transpose(cache.soft)),
+            subset_loss(cloud, p_sp),
+            cosine_loss(ad.transpose(soft)),
             1.0,
             1.0,
         )
         ad.backward(loss.total)
         grads[name] = [p.grad.copy() for p in weights.parameters()]
-        assert np.abs(cache.soft.data.max(axis=0) - 1.0).max() < 1e-8
+        assert np.abs(soft.data.max(axis=0) - 1.0).max() < 1e-8
 
     for gs, gh in zip(grads["soft"], grads["hard"]):
         assert np.allclose(gs, gh, rtol=1e-5, atol=1e-10)
@@ -376,20 +375,21 @@ def test_fast_sample_matches_graph_forward_ahsn():
     config = tiny_config(mode="ahsn", k=1)
     cloud = random_cloud(32, 28)
     weights = casnet.init_weights(config, 4)
-    out_graph, cache = casnet.forward(cloud, config, weights)
+    (out_graph, rows), _, _ = casnet.forward(cloud, config, weights)
     out_fast, idx = casnet.sample(cloud, config, weights)
     assert np.array_equal(out_fast.points, out_graph.points)
-    assert np.array_equal(idx, cache.rows)
+    assert np.array_equal(idx, rows)
 
 
 def test_fast_sample_matches_graph_forward_assn_full_config():
     config = tiny_config(mode="assn", k=4, oa_layers=2, m=6)
-    cloud = random_cloud(24, 29)
-    weights = casnet.init_weights(config, 6)
-    out_graph, _ = casnet.forward(cloud, config, weights)
-    out_fast, idx = casnet.sample(cloud, config, weights)
-    assert idx is None
-    assert np.allclose(out_fast.points, out_graph.points, rtol=1e-10, atol=1e-12)
+    for dtype in (np.float32, np.float64):
+        cloud = random_cloud(24, 29, dtype=dtype)
+        weights = casnet.init_weights(config, 6, dtype=dtype)
+        sampled, _, _ = casnet.forward(cloud, config, weights)
+        fast = casnet.sample(cloud, config, weights)
+        assert sampled.indices is None and fast.indices is None
+        assert np.array_equal(fast.cloud.points, sampled.cloud.points)
 
 
 def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame():
@@ -398,11 +398,11 @@ def test_sample_selects_the_rows_forward_selects_on_a_lidar_scale_float32_frame(
     weights = casnet.init_weights(config, 1024, dtype=np.float32, seed=3)
     for p in weights.parameters():
         p.requires_grad = False
-    out_graph, cache = casnet.forward(cloud, config, weights)
+    (out_graph, rows), _, _ = casnet.forward(cloud, config, weights)
     out_fast, idx = casnet.sample(cloud, config, weights)
     table = ball_query(cloud, 2.0, 32).indices
     assert (table == -1).any() and (table[:, -1] >= 0).any()
-    assert np.array_equal(idx, cache.rows)
+    assert np.array_equal(idx, rows)
     assert np.array_equal(out_fast.points, out_graph.points)
 
 
@@ -416,19 +416,19 @@ def test_k1_runs_no_search_and_selects_the_rows_a_searched_table_gives(monkeypat
     weights = casnet.init_weights(config, 6)
     table = ball_query(cloud, np.inf, 1)
     assert (table.indices[:, 0] != np.arange(cloud.n)).any()
-    f_concat, _ = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights)
+    f_concat = casnet.asm(casnet.embed(casnet.combine(cloud, casnet.group_features(cloud, table)), weights), weights)
     soft, rows = casnet.soft_matrix(f_concat, weights)
 
     def no_search(*args):
         raise AssertionError("k=1 ran a neighbour search")
 
     monkeypatch.setattr(casnet, "find_neighbors", no_search)
-    out_graph, cache = casnet.forward(cloud, config, weights)
+    (out_graph, graph_rows), _, graph_soft = casnet.forward(cloud, config, weights)
     out_fast, idx = casnet.sample(cloud, config, weights)
-    assert np.array_equal(cache.soft.data, soft.data)
+    assert np.array_equal(graph_soft.data, soft.data)
     if mode == "ahsn":
-        assert np.array_equal(cache.rows, rows)
+        assert np.array_equal(graph_rows, rows)
         assert np.array_equal(idx, rows)
         assert np.array_equal(out_fast.points, cloud.points[rows])
     else:
-        assert np.allclose(out_fast.points, out_graph.points, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(out_fast.points, out_graph.points)

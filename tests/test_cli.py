@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ def test_nnbench_default_cloud_takes_the_grid(ranked_blocks, capsys):
     assert min(cand for _, cand in ranked_blocks) < 1024
 
 
+def test_nnbench_times_no_row_with_the_first_call_cost(monkeypatch, capsys):
+    search = nnsearch.ball_query
+    calls = []
+
+    def slow_first_call(*args):
+        if not calls:
+            time.sleep(0.05)
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(nnsearch, "ball_query", slow_first_call)
+    assert main(["nnbench", "--n", "64", "--k", "8,1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and all(float(row.split()[2]) < 0.05 for row in rows)
+
+
 def test_nnbench_rejects_k_above_n_before_printing(capsys):
     code = main(["nnbench", "--n", "512,64", "--k", "8,100"])
     captured = capsys.readouterr()
@@ -397,6 +414,48 @@ def test_bench_rejects_labels_naming_no_input_cloud_before_any_timing(tmp_path, 
     captured = capsys.readouterr()
     assert code == 1 and calls == [] and captured.out == ""
     assert captured.err == f"error: {labels} names none of the clouds in {data}\n"
+
+
+@pytest.mark.parametrize("label", [7, 3, -1])
+def test_bench_rejects_a_label_outside_the_heads_classes_before_any_timing(tmp_path, monkeypatch, capsys, label):
+    data = _small_clouds(tmp_path)
+    write_xyz(data / "d.xyz", PointCloud(np.random.default_rng(7).uniform(size=(64, 3)).astype(np.float32)))
+    head = tmp_path / "head.pcw"
+    ad.save_arrays(head, training.init_head(3, dtype=np.float32).to_arrays())
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"c.xyz,{label}\nd.xyz,0\n")
+    calls = []
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs"))
+    code = main(["bench", "--input", str(data), "--methods", "rs", "--head", str(head), "--labels", str(labels)])
+    captured = capsys.readouterr()
+    assert code == 1 and calls == [] and captured.out == ""
+    assert captured.err == f"error: {labels}: c.xyz has label {label}, outside the head's 3 classes\n"
+
+
+@pytest.mark.parametrize(
+    "command, shapes, name",
+    [
+        pytest.param("sample", casnet.layout(8, 0, 8, 8, 1), "sigma.1.w", id="sampler-c0"),
+        pytest.param("sample", casnet.layout(0, 8, 8, 8, 1), "sigma.1.w", id="sampler-e0"),
+        pytest.param("sample", casnet.layout(8, 8, 0, 8, 1), "rho.hidden.w", id="sampler-s0"),
+        pytest.param("bench", training.head_layout(32, 0), "head.cls.w", id="head-0-classes"),
+    ],
+)
+def test_a_checkpoint_with_a_zero_width_matrix_exits_1_with_one_line(tmp_path, capsys, command, shapes, name):
+    data = _small_clouds(tmp_path)
+    ckpt = tmp_path / "w.pcw"
+    ad.save_arrays(ckpt, {key: np.ones(shape, np.float32) for key, shape in shapes.items()})
+    if command == "sample":
+        argv = ["sample", "--input", str(data / "c.xyz"), "--method", "casnet", "--count", "8", "--k", "1", "--oa", "1",
+                "--weights", str(ckpt), "--output", str(tmp_path / "o.xyz")]
+    else:
+        labels = tmp_path / "labels.csv"
+        labels.write_text("c.xyz,0\n")
+        argv = ["bench", "--input", str(data), "--methods", "rs", "--head", str(ckpt), "--labels", str(labels)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {ckpt}: {name} has shape {shapes[name]}, expected no zero width\n"
 
 
 def test_sample_refuses_a_checkpoint_with_prefixed_sampler_arrays(cloud_file, tmp_path, capsys):

@@ -278,10 +278,10 @@ def test_network_gradients_match_tape(mode, k, oa_layers, radius):
     def loss(p_sp, soft):
         return total_loss(Tensor(np.asarray(0.0)), subset_loss(cloud, p_sp), cosine_loss(ad.transpose(soft)), 1.0, 1.0).total
 
-    _, cache = casnet.forward(cloud, config, weights)
+    _, net_p_sp, net_soft = casnet.forward(cloud, config, weights)
     p_sp, soft = tape_forward(cloud, config, weights)
-    assert_close([cache.soft.data, cache.p_sp.data], [soft.data, p_sp.data])
-    assert_close(grads(loss(cache.p_sp, cache.soft), params, 1.0), grads(loss(p_sp, soft), params, 1.0))
+    assert_close([net_soft.data, net_p_sp.data], [soft.data, p_sp.data])
+    assert_close(grads(loss(net_p_sp, net_soft), params, 1.0), grads(loss(p_sp, soft), params, 1.0))
 
 
 @pytest.mark.parametrize("keep_soft", [True, False])
