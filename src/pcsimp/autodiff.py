@@ -245,17 +245,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return custom(np.asarray(loss), (logits,), vjp)
 
 
-def ste_harden(soft: Tensor, rows: np.ndarray) -> Tensor:
-    """One-hot per column in the forward pass, identity in the backward.
-
-    Column j is 1 at rows[j]. The straight-through rule: gradients reaching
-    the hardened matrix flow to the soft matrix unchanged, as if the soft
-    matrix had been used forward.
-    """
-    n, m = soft.data.shape
-    hard = np.zeros_like(soft.data)
-    hard[rows, np.arange(m)] = 1.0
-    return custom(hard, (soft,), lambda g: (g,))
+def ste_harden(soft: Tensor, rows: np.ndarray, points: np.ndarray) -> Tensor:
+    """The hard sample points[rows] forward; the straight-through rule
+    backward: the soft matrix S~ (n x m), whose column j selects rows[j],
+    receives the gradient it would if it had formed the sample as the product
+    S~^T points, that is (g points^T)^T. The forward is piecewise constant in
+    S~, so finite differences do not check this gradient."""
+    return custom(points[rows], (soft,), lambda g: ((g @ points.T).T,))
 
 
 def finite_diff_check(f: Callable[[Sequence[Tensor]], Tensor], params: Sequence[Tensor]) -> float:

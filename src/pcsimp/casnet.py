@@ -4,9 +4,9 @@ Pipeline: neighbor grouping -> per-point feature embedding -> stacked
 offset-attention layers -> soft sampling matrix -> soft (ASSN) or hardened
 (AHSN) selection. The network is defined once: embed, offset_attention and
 soft_matrix are each one autodiff node computed over plain arrays, with a
-hand-written backward. forward() joins them on the tape for training (the
-straight-through rule, the sampled points and the losses stay tape ops);
-sample() runs the same layers on weights that require no gradient, so no
+hand-written backward. forward() joins them on the tape for training (a hard
+sample is its input rows, one straight-through node, and the losses stay tape
+ops); sample() runs the same layers on weights that require no gradient, so no
 layer keeps an activation and attention runs in row blocks.
 """
 
@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .core import (
     CasNetConfig,
-    ConfigError,
     NeighborTable,
     PointCloud,
     SampleResult,
@@ -387,31 +386,21 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
 def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> tuple[SampleResult, Tensor, Tensor]:
     """Graph-building forward pass. Returns the sample, as sample() returns
     it, with the two tape tensors the objective reads: the sampled points
-    p_sp (m x 3) and the soft matrix S~ (n x m). A hard (AHSN) sample holds
-    the cloud's exact rows, not the product that forms p_sp."""
+    p_sp (m x 3) and the soft matrix S~ (n x m). A hard (AHSN) p_sp is the
+    selected rows, one straight-through node (autodiff.ste_harden)."""
     f_concat = _encode(cloud, config, weights)
     soft, rows = soft_matrix(f_concat, weights)
-    p_in = Tensor(cloud.points.astype(f_concat.data.dtype, copy=False))
+    p_in = cloud.points.astype(f_concat.data.dtype, copy=False)
     if config.mode == "ahsn":
-        p_sp = ad.matmul(ad.transpose(ad.ste_harden(soft, rows)), p_in)
+        p_sp = ad.ste_harden(soft, rows, p_in)
         return SampleResult(PointCloud(cloud.points[rows]), rows), p_sp, soft
-    p_sp = ad.matmul(ad.transpose(soft), p_in)
+    p_sp = ad.matmul(ad.transpose(soft), Tensor(p_in))
     return SampleResult(PointCloud(p_sp.data), None), p_sp, soft
 
 
-def backward_ste(loss_root: Tensor, sampled: SampleResult) -> None:
-    """Backward for the hard forward: the hardening step passes gradients through
-    to the soft matrix unchanged (already wired in by the forward's STE node).
-    `sampled` is the sample forward() returned; a soft one, with no indices,
-    raises ConfigError.
-
-    Note that finite-difference checks do not apply to the hard forward: it is
-    piecewise constant in the weights, so its true derivative is zero almost
-    everywhere and the straight-through gradient is deliberately not that.
-    """
-    if sampled.indices is None:
-        raise ConfigError("backward_ste requires an AHSN sample")
-    ad.backward(loss_root)
+# the one backward of both variants, under the name bench/run.py wraps; it
+# goes with the change to the benchmark that stops wrapping it
+backward_ste = ad.backward
 
 
 def sample(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> SampleResult:

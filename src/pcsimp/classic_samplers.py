@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, PointCloud, SampleResult, check_m
+from .core import ConfigError, PointCloud, SampleResult, check_count
 
 
 def random_sample(cloud: PointCloud, m: int, seed: int) -> SampleResult:
     """m distinct indices drawn uniformly without replacement, deterministic per seed."""
-    check_m(m, cloud.n)
+    check_count("m", m, cloud.n)
     rng = np.random.default_rng(seed)
     idx = rng.choice(cloud.n, size=m, replace=False)
     return SampleResult(PointCloud(cloud.points[idx]), idx)
@@ -25,7 +25,7 @@ def fps(cloud: PointCloud, m: int, start: int = 0) -> SampleResult:
     """
     pts = cloud.points
     n = pts.shape[0]
-    check_m(m, n)
+    check_count("m", m, n)
     if not 0 <= start < n:
         raise ConfigError(f"start={start} outside [0, {n})")
     selected = np.empty(m, dtype=np.int64)
@@ -55,9 +55,8 @@ def fps_chunked(cloud: PointCloud, m: int, chunks: int) -> SampleResult:
     global farthest-point guarantee for a roughly chunk-fold speedup.
     """
     n = cloud.n
-    check_m(m, n)
-    if not 1 <= chunks <= n:
-        raise ConfigError(f"chunks={chunks} outside [1, {n}]")
+    check_count("m", m, n)
+    check_count("chunks", chunks, n)
     sizes = chunk_sizes(n, chunks)
     quotas = chunk_sizes(m, chunks)
     picked = []

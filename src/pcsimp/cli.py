@@ -28,6 +28,7 @@ from .core import (
     SENTINEL,
     ShapeMismatchError,
     at_least,
+    check_count,
     check_k,
     check_radius,
     ratio_to_count,
@@ -195,8 +196,10 @@ def cmd_bench(args) -> int:
     for name, label in (labels or {}).items():
         if not 0 <= label < head.n_classes:
             raise PcsimpError(f"{args.labels}: {name} has label {label}, outside the head's {head.n_classes} classes")
-    # every (cloud, ratio) is checked before any timing
+    # every (cloud, ratio) and the chunk count are checked before any timing
     counts = {ratio: [ratio_to_count(cloud.n, ratio) for _, cloud in clouds] for ratio in ratios}
+    if "fps-chunked" in methods:
+        check_count("chunks", args.chunks, min(cloud.n for _, cloud in clouds))
     setups = {}
     if "casnet" in methods:
         # k must fit each cloud, and a checkpoint emits one m, so a pair that

@@ -77,10 +77,11 @@ def check_k(k: int, n: int) -> None:
         raise ConfigError(f"k={k} exceeds cloud size {n}")
 
 
-def check_m(m: int, n: int) -> None:
-    """ConfigError unless 1 <= m <= n."""
-    if not 1 <= m <= n:
-        raise ConfigError(f"m={m} outside [1, {n}]")
+def check_count(name: str, value: int, n: int) -> None:
+    """ConfigError unless 1 <= value <= n: a count of output points (m) or of
+    chunks that an n-point cloud can serve."""
+    if not 1 <= value <= n:
+        raise ConfigError(f"{name}={value} outside [1, {n}]")
 
 
 def read_text(path: str | Path) -> str:
@@ -184,7 +185,7 @@ class CasNetConfig:
     def validate(self, n: int) -> None:
         """Raise ConfigError unless k and the output count fit an n-point cloud."""
         check_k(self.k, n)
-        check_m(self.output_count(n), n)
+        check_count("m", self.output_count(n), n)
 
     def output_count(self, n: int) -> int:
         if self.m is not None:

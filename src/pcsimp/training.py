@@ -198,11 +198,11 @@ class TrainHistory:
 
 def _split_accuracy(split: list[LabeledCloud], config, weights, head, check_subset: int = 0) -> float:
     """Accuracy of the head on the sampler's output; the first `check_subset`
-    hard samples are also checked to be exact rows of their input."""
+    samples with indices are also checked to be exact rows of their input."""
     correct = 0
     for i, it in enumerate(split):
         sampled, idx = casnet.sample(it.cloud, config, weights)
-        if i < check_subset and not np.array_equal(sampled.points, it.cloud.points[idx]):
+        if i < check_subset and idx is not None and not np.array_equal(sampled.points, it.cloud.points[idx]):
             raise AssertionError("hard-sampled output is not an exact row subset")
         correct += head.predict(sampled.points) == it.label
     return correct / len(split)
@@ -211,13 +211,13 @@ def _split_accuracy(split: list[LabeledCloud], config, weights, head, check_subs
 def cloud_loss(cloud: PointCloud, label: int, config: CasNetConfig, weights: casnet.CasNetWeights, head: ToyTaskHead):
     """The training objective of one cloud: the sampler's forward, the head on
     its output, then task + alpha * subset + beta * cosine as the config
-    sets them. Returns the loss breakdown, the head's logits and the sample
-    the forward drew (the one casnet.backward_ste takes)."""
-    sampled, p_sp, soft = casnet.forward(cloud, config, weights)
+    sets them. Returns the loss breakdown and the head's logits; the
+    breakdown's total is the root autodiff.backward takes in either variant."""
+    _, p_sp, soft = casnet.forward(cloud, config, weights)
     logits = head.forward(p_sp)
     task = ad.cross_entropy(logits, np.array([label]))
     subset, cosine = subset_loss(cloud, p_sp), cosine_loss(ad.transpose(soft))
-    return total_loss(task, subset, cosine, config.alpha, config.beta), logits, sampled
+    return total_loss(task, subset, cosine, config.alpha, config.beta), logits
 
 
 def train(
@@ -230,12 +230,12 @@ def train(
 ) -> tuple[casnet.CasNetWeights, ToyTaskHead, TrainHistory]:
     """Jointly optimize sampler and head against the composite loss.
 
-    ASSN uses the soft forward; AHSN uses the hard forward whose backward is
-    the straight-through rule. The batch loss is the mean of per-cloud losses,
-    each cloud building its own graph (see cloud_loss). History records every
-    epoch; with early_stop_acc set, training stops once test accuracy
-    reaches it. A parameter that is not finite after an Adam step stops
-    training with a PcsimpError naming its array.
+    One autodiff.backward per cloud serves both variants: a hard sample's tape
+    node passes the straight-through gradient. The batch loss is the mean of
+    per-cloud losses, each cloud building its own graph (see cloud_loss).
+    History records every epoch; with early_stop_acc set, training stops once
+    test accuracy reaches it. A parameter that is not finite after an Adam
+    step stops training with a PcsimpError naming its array.
 
     Training runs in float32, the precision checkpoints store and inference
     on float32 frames runs in: the weights start in float32 and the train and
@@ -270,13 +270,9 @@ def train(
                 p.zero_grad()
             batch_sums = np.zeros(4)
             for item in batch:
-                breakdown, logits, sampled = cloud_loss(item.cloud, item.label, config, weights, head)
+                breakdown, logits = cloud_loss(item.cloud, item.label, config, weights, head)
                 train_hits += int(logits.data.argmax()) == item.label
-                contribution = ad.scale(breakdown.total, 1.0 / len(batch))
-                if config.mode == "ahsn":
-                    casnet.backward_ste(contribution, sampled)
-                else:
-                    ad.backward(contribution)
+                ad.backward(ad.scale(breakdown.total, 1.0 / len(batch)))
                 batch_sums += breakdown.values()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             adam_step(params, grads, state, lr)
@@ -288,7 +284,7 @@ def train(
 
         # running train accuracy from the batch forwards; test via fresh inference
         train_acc = train_hits / len(train_split)
-        check = config.mode == "ahsn" and (epoch % SUBSET_CHECK_EVERY == 0 or epoch == epochs - 1)
+        check = epoch % SUBSET_CHECK_EVERY == 0 or epoch == epochs - 1
         test_acc = _split_accuracy(test_split, config, weights, head, SUBSET_CHECKS if check else 0)
         avg = sums / n_batches
         history.epochs.append(EpochStats(epoch, *avg, train_acc, test_acc, time.perf_counter() - started))

@@ -143,12 +143,17 @@ def test_gather_rows_scatter_adds_duplicates():
     assert np.array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
 
 
-def test_ste_harden_forward_one_hot_backward_identity():
-    soft = t([[0.2, 0.6], [0.5, 0.3], [0.3, 0.1]])
-    hard = ad.ste_harden(soft, np.array([1, 0]))
-    assert np.array_equal(hard.data, [[0, 1], [1, 0], [0, 0]])
-    ad.backward(ad.tsum(ad.mul(hard, Tensor(np.ones((3, 2))))))
-    assert np.allclose(soft.grad, 1.0)  # gradient passes through unchanged
+def test_ste_harden_forward_gathers_the_rows_backward_passes_the_products_gradient():
+    values = [[0.2, 0.6], [0.5, 0.3], [0.3, 0.1]]
+    soft, dense = t(values), t(values)
+    points = np.arange(9.0).reshape(3, 3) - 4
+    upstream = Tensor(np.random.default_rng(0).normal(size=(2, 3)))
+    hard = ad.ste_harden(soft, np.array([1, 0]), points)
+    assert np.array_equal(hard.data, points[[1, 0]])
+    ad.backward(ad.tsum(ad.mul(hard, upstream)))
+    # straight through: S~ gets the gradient it gets when it forms the sample as S~^T P
+    ad.backward(ad.tsum(ad.mul(ad.matmul(ad.transpose(dense), Tensor(points)), upstream)))
+    assert np.array_equal(soft.grad, dense.grad)
 
 
 def test_finite_diff_quadratic_tight():
@@ -168,7 +173,7 @@ def test_no_graph_retention_without_requires_grad():
     # each case's output is built by its op and the ops around it; with
     # constant inputs none of them may keep parents or a backward rule
     cases = _gradcheck_op_cases()
-    cases.append(("ste_harden", [t(np.ones((3, 2)))], lambda ps: ad.ste_harden(ps[0], np.array([1, 0]))))
+    cases.append(("ste_harden", [t(np.ones((3, 2)))], lambda ps: ad.ste_harden(ps[0], np.array([1, 0]), np.ones((3, 3)))))
     for name, params, fn in cases:
         for p in params:
             p.requires_grad = False
@@ -196,7 +201,7 @@ def _nodes(root):
         lambda x, y: ad.reshape(x, (3, 2)),
         lambda x, y: ad.concat_cols([x, y]),
         lambda x, y: ad.tsum(x, axis=0),
-        lambda x, y: ad.ste_harden(x, np.array([0, 1, 1])),
+        lambda x, y: ad.ste_harden(x, np.array([0, 1, 1]), np.ones((2, 3))),
         lambda x, y: ad.add(x, x),
     ],
     ids=["add", "sub", "transpose", "reshape", "concat_cols", "tsum", "ste_harden", "add_x_x"],

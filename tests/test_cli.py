@@ -9,7 +9,7 @@ from pcsimp import autodiff as ad
 from pcsimp import casnet, classic_samplers, nnsearch, training
 from pcsimp.cli import main
 from pcsimp.core import CasNetConfig, PointCloud
-from pcsimp.io import read_xyz, write_xyz
+from pcsimp.io import REPORT_COLUMNS, read_kitti_bin, read_xyz, write_xyz
 
 
 @pytest.fixture
@@ -721,3 +721,75 @@ def test_bench_with_weights_rejects_a_bad_k_before_timing(tmp_path, monkeypatch,
     ])
     _one_line(capsys, code, 1, line)
     assert calls == []
+
+
+@pytest.mark.parametrize("chunks", ["0", "49"], ids=["zero", "above-a-clouds-n"])
+def test_bench_rejects_a_bad_chunk_count_before_any_timing(tmp_path, monkeypatch, capsys, chunks):
+    data = _small_clouds(tmp_path)
+    write_xyz(data / "d.xyz", PointCloud(np.random.default_rng(7).uniform(size=(48, 3)).astype(np.float32)))
+    calls = []
+    real = classic_samplers.random_sample
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs") or real(*a))
+    code = main(["bench", "--input", str(data), "--methods", "rs,fps-chunked", "--chunks", chunks])
+    assert calls == []
+    _one_line(capsys, code, 1, f"error: chunks={chunks} outside [1, 48]")
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, line",
+    [
+        (["--input", "{d}", "--methods", "rs,xyz"], 1, "error: unknown method 'xyz'"),
+        (["--input", "{c}", "--methods", "rs"], 2, "io error: {c}: not a directory"),
+    ],
+    ids=["unknown-method", "input-is-a-file"],
+)
+def test_bench_rejects_an_unknown_method_or_a_file_for_input_before_any_timing(tmp_path, monkeypatch, capsys, argv, expected_code, line):
+    data = _small_clouds(tmp_path)
+    paths = {"c": data / "c.xyz", "d": data}
+    calls = []
+    monkeypatch.setattr(classic_samplers, "random_sample", lambda *a: calls.append("rs"))
+    code = main(["bench", *(a.format(**paths) for a in argv)])
+    _one_line(capsys, code, expected_code, line.format(**paths))
+    assert calls == []
+
+
+def test_bench_quality_columns_score_each_methods_samples_of_the_labelled_clouds(tmp_path):
+    data = _small_clouds(tmp_path)
+    write_xyz(data / "d.xyz", PointCloud(np.random.default_rng(7).uniform(size=(48, 3)).astype(np.float32)))
+    head_path = tmp_path / "head.pcw"
+    ad.save_arrays(head_path, training.init_head(3, dtype=np.float32, seed=10).to_arrays())
+    labels = tmp_path / "labels.csv"
+    labels.write_text("d.xyz,1\n")
+    report = tmp_path / "report.csv"
+    code = main([
+        "bench", "--input", str(data), "--methods", "rs,fps", "--ratios", "4", "--repeats", "1",
+        "--head", str(head_path), "--labels", str(labels), "--report", str(report),
+    ])
+    assert code == 0
+    rows = [dict(zip(REPORT_COLUMNS, line.split(","))) for line in report.read_text().splitlines()[1:]]
+    # only d.xyz, the second cloud in name order, is labelled: rs draws it with seed 1
+    cloud = read_xyz(data / "d.xyz")
+    head = training.ToyTaskHead.from_arrays(ad.load_arrays(head_path))
+    samples = {"rs": classic_samplers.random_sample(cloud, 12, 1), "fps": classic_samplers.fps(cloud, 12, 0)}
+    assert [row["method"] for row in rows] == ["rs", "fps"]
+    for row in rows:
+        predicted = head.predict(samples[row["method"]].cloud.points)
+        expected = training.classification_metrics(np.array([1]), np.array([predicted]), 3)
+        assert [row[c] for c in ("acc", "prec", "rec", "f1")] == [f"{v:.4f}" for v in expected]
+
+
+def test_sample_writes_a_bin_output_whose_rows_are_bitwise_input_rows(cloud_file, tmp_path):
+    out = tmp_path / "o.bin"
+    code = main(["sample", "--input", str(cloud_file), "--method", "rs", "--count", "16", "--seed", "3", "--output", str(out)])
+    assert code == 0
+    source = read_xyz(cloud_file)
+    expected = source.points[classic_samplers.random_sample(source, 16, 3).indices]
+    written = read_kitti_bin(out).points
+    assert written.dtype == np.float32 and written.tobytes() == expected.tobytes()
+
+
+def test_train_without_count_saves_a_sampler_of_32_output_points(tmp_path):
+    out = tmp_path / "m.pcw"
+    argv = ["--train-per-class", "1", "--test-per-class", "1", "--points", "64", "--k", "1", "--oa", "1"]
+    assert main(["train", *argv, "--epochs", "1", "--out", str(out)]) == 0
+    assert ad.load_arrays(out)["rho.out.w"].shape[1] == 32

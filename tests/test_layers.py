@@ -51,7 +51,13 @@ def tape_forward(cloud, config, weights):
         f = tape_offset_attention(f, lay)
         outputs.append(f)
     soft = tape_soft_matrix(ad.concat_cols(outputs) if len(outputs) > 1 else outputs[0], weights)
-    chosen = ad.ste_harden(soft, soft.data.argmax(axis=0)) if config.mode == "ahsn" else soft
+    chosen = soft
+    if config.mode == "ahsn":
+        # the straight-through step in its dense form: a one-hot of each
+        # column's row forward, the identity back to S~
+        one_hot = np.zeros_like(soft.data)
+        one_hot[soft.data.argmax(axis=0), np.arange(soft.data.shape[1])] = 1.0
+        chosen = ad.custom(one_hot, (soft,), lambda g: (g,))
     return ad.matmul(ad.transpose(chosen), Tensor(cloud.points)), soft
 
 
