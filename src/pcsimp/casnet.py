@@ -100,14 +100,14 @@ class CasNetWeights:
         nothing for a backward pass."""
         return CasNetWeights({name: Tensor(t.data.astype(dtype, copy=False)) for name, t in self.tensors.items()})
 
-    def check_fits(self, oa_layers: int, m: int, prefix: str = "") -> None:
+    def check_fits(self, oa_layers: int, m: int) -> None:
         """Raise ShapeMismatchError unless these weights hold `oa_layers`
         attention layers and emit m output points: the one place the weights
-        are compared with a config."""
+        are compared with a config. A caller naming the input adds its name."""
         if self.depth != oa_layers:
-            raise ShapeMismatchError(f"{prefix}weights hold {self.depth} attention layers but oa_layers is {oa_layers}")
+            raise ShapeMismatchError(f"weights hold {self.depth} attention layers but oa_layers is {oa_layers}")
         if self.m != m:
-            raise ShapeMismatchError(f"{prefix}weights emit m={self.m} points but m={m} is needed")
+            raise ShapeMismatchError(f"weights emit m={self.m} points but m={m} is needed")
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "CasNetWeights":
@@ -369,7 +369,7 @@ def _encode(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
     """Neighbor search, grouping, embedding and the attention stack, in the
     weights' dtype: the concatenated attention features."""
     config.validate(cloud.n)
-    weights.check_fits(config.oa_layers, config.output_count(cloud.n))
+    weights.check_fits(config.oa_layers, config.m)
     dtype = weights.sigma[0][0].data.dtype
     if config.k == 1:
         # the one slot holds a point at distance zero, the point itself or an
@@ -395,7 +395,7 @@ def forward(cloud: PointCloud, config: CasNetConfig, weights: CasNetWeights) -> 
         p_sp = ad.ste_harden(soft, rows, p_in)
         return SampleResult(PointCloud(cloud.points[rows]), rows), p_sp, soft
     p_sp = ad.matmul(ad.transpose(soft), Tensor(p_in))
-    return SampleResult(PointCloud(p_sp.data), None), p_sp, soft
+    return SampleResult(PointCloud(p_sp.data.copy()), None), p_sp, soft
 
 
 # the one backward of both variants, under the name bench/run.py wraps; it

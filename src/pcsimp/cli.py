@@ -20,6 +20,7 @@ from .autodiff import Tensor
 from .core import (
     MODES,
     CasNetConfig,
+    ConfigError,
     IoFailureError,
     ParseFailureError,
     PcsimpError,
@@ -29,7 +30,6 @@ from .core import (
     ShapeMismatchError,
     at_least,
     check_count,
-    check_k,
     check_radius,
     ratio_to_count,
     read_text,
@@ -98,13 +98,16 @@ def _load_weights(path: str, read):
 
 def _casnet_setup(config: CasNetConfig, weights, n: int, m: int, what: str):
     """Config and weights for m of n points, checked against the cloud before
-    any timing starts. Weights are drawn from the config when none are given;
-    loaded ones must fit it."""
-    cfg = replace(config, m=m, ratio=None)
-    cfg.validate(n)
-    if weights is None:
-        weights = casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
-    weights.check_fits(cfg.oa_layers, m, f"{what}: ")
+    any timing starts; an error names `what`. Weights are drawn from the
+    config when none are given; loaded ones must fit it."""
+    cfg = replace(config, m=m)
+    try:
+        cfg.validate(n)
+        if weights is None:
+            weights = casnet.init_weights(cfg, m, dtype=np.float32, seed=cfg.seed)
+        weights.check_fits(cfg.oa_layers, m)
+    except (ConfigError, ShapeMismatchError) as e:
+        raise type(e)(f"{what}: {e}") from None
     return cfg, weights
 
 
@@ -127,7 +130,9 @@ def _sampler_fn(method: str, args, casnet_setups: dict):
 def cmd_sample(args) -> int:
     cloud = read_cloud(args.input)
     config = _config_from_args(args)
-    m = config.output_count(cloud.n)
+    if config.m is None and args.ratio is None:
+        raise ConfigError("sample needs --count, --ratio or m in --config")
+    m = config.m if config.m is not None else ratio_to_count(cloud.n, args.ratio)
     setups = {}
     if args.method == "casnet":
         if not args.weights:
@@ -258,7 +263,7 @@ def cmd_nnbench(args) -> int:
     at_least("seed", args.seed, 0)
     for n in args.n:
         for k in args.k:
-            check_k(k, n)
+            check_count("k", k, n)
     rng = np.random.default_rng(args.seed)
     # cubes 8 wide: at the default radius the grid has four cells a side, so
     # the timed search is the grid's and the reference ranks whole rows
@@ -285,7 +290,7 @@ def cmd_nnbench(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    if config.m is None and config.ratio is None:
+    if config.m is None:
         config = replace(config, m=32)
     spec = training.DatasetSpec(
         train_per_class=args.train_per_class,

@@ -70,16 +70,9 @@ def check_radius(radius: float) -> None:
         raise ConfigError("radius must be > 0")
 
 
-def check_k(k: int, n: int) -> None:
-    """ConfigError unless 1 <= k <= n."""
-    at_least("k", k, 1)
-    if k > n:
-        raise ConfigError(f"k={k} exceeds cloud size {n}")
-
-
 def check_count(name: str, value: int, n: int) -> None:
-    """ConfigError unless 1 <= value <= n: a count of output points (m) or of
-    chunks that an n-point cloud can serve."""
+    """ConfigError unless 1 <= value <= n: the one range rule for the counts
+    an n-point cloud serves, k, m, chunks and downsampling ratios."""
     if not 1 <= value <= n:
         raise ConfigError(f"{name}={value} outside [1, {n}]")
 
@@ -99,7 +92,8 @@ def read_text(path: str | Path) -> str:
 class PointCloud:
     """A non-empty n-by-3 matrix of finite spatial coordinates. Immutable
     after construction; raises ShapeMismatchError, EmptyCloudError or
-    NonFiniteCoordinateError (naming the first bad row) otherwise."""
+    NonFiniteCoordinateError (naming the first bad row) otherwise. A contiguous
+    float array is made read-only in place, not copied: PointCloud(a) freezes a."""
 
     points: np.ndarray
 
@@ -159,7 +153,6 @@ class CasNetConfig:
     radius: float = 2.0
     backend: str = "ball_query"
     m: int | None = None
-    ratio: int | None = None
     alpha: float = 1.0
     beta: float = 1.0
     mode: str = "ahsn"
@@ -183,16 +176,11 @@ class CasNetConfig:
         one_of("cosine_axis", self.cosine_axis, COSINE_AXES)
 
     def validate(self, n: int) -> None:
-        """Raise ConfigError unless k and the output count fit an n-point cloud."""
-        check_k(self.k, n)
-        check_count("m", self.output_count(n), n)
-
-    def output_count(self, n: int) -> int:
-        if self.m is not None:
-            return self.m
-        if self.ratio is None:
-            raise ConfigError("either m or ratio must be set")
-        return ratio_to_count(n, self.ratio)
+        """Raise ConfigError unless m is set and k and m fit an n-point cloud."""
+        if self.m is None:
+            raise ConfigError("m is not set")
+        check_count("k", self.k, n)
+        check_count("m", self.m, n)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CasNetConfig":
@@ -226,9 +214,8 @@ class CasNetConfig:
 
 
 def ratio_to_count(n: int, ratio: int) -> int:
-    """Output size for an n-point cloud at downsampling ratio D (floor division)."""
-    if ratio is None or ratio < 1 or n < ratio:
-        raise ConfigError(f"ratio {ratio} invalid for n={n}")
+    """Output size m = n // D at downsampling ratio D; ConfigError unless 1 <= D <= n."""
+    check_count("ratio", ratio, n)
     return n // ratio
 
 

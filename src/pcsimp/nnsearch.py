@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NeighborTable, PointCloud, SENTINEL, check_k, check_radius
+from .core import NeighborTable, PointCloud, SENTINEL, check_count, check_radius
 
 # ball_query ranks runs of grid cells together up to about this many distances
 _BATCH = 1 << 15
@@ -82,7 +82,7 @@ def ball_query(cloud: PointCloud, radius: float, k: int) -> NeighborTable:
     check_radius(radius)
     pts = cloud.points
     n = pts.shape[0]
-    check_k(k, n)
+    check_count("k", k, n)
     r2 = np.asarray(radius, dtype=pts.dtype) ** 2
     out = np.empty((n, k), dtype=np.int64)
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import casnet
 from .autodiff import Tensor
-from .core import CasNetConfig, ConfigError, PcsimpError, PointCloud, ShapeMismatchError
+from .core import CasNetConfig, ConfigError, PcsimpError, PointCloud, ShapeMismatchError, at_least
 from .losses import cosine_loss, subset_loss, total_loss
 
 CLASS_NAMES = ("sphere", "cube", "plane")
@@ -245,8 +245,8 @@ def train(
     subnormals (see casnet.offset_attention and casnet.soft_matrix).
     """
     config.validate(dataset.spec.points_per_cloud)
-    m = config.output_count(dataset.spec.points_per_cloud)
-    weights = casnet.init_weights(config, m, dtype=TRAIN_DTYPE)
+    at_least("m", config.m, 2)  # the cosine loss compares pairs of S~ columns
+    weights = casnet.init_weights(config, config.m, dtype=TRAIN_DTYPE)
     head = init_head(dataset.n_classes, dtype=TRAIN_DTYPE, seed=config.seed + 1)
     train_split, test_split = (
         [LabeledCloud(PointCloud(it.cloud.points.astype(TRAIN_DTYPE)), it.label) for it in split]

@@ -222,6 +222,13 @@ def test_forward_assn_output_within_bounding_box():
     assert rows is None
 
 
+def test_assn_forward_leaves_its_tape_tensor_writeable_and_unshared():
+    config = tiny_config(mode="assn")
+    (out, _), p_sp, _ = casnet.forward(random_cloud(10, 25), config, casnet.init_weights(config, 4))
+    assert p_sp.data.flags.writeable and not np.shares_memory(p_sp.data, out.points)
+    assert out.points.dtype == p_sp.data.dtype and out.points.tobytes() == p_sp.data.tobytes()
+
+
 def test_forward_ahsn_output_is_bitwise_subset():
     config = tiny_config(mode="ahsn")
     cloud = random_cloud(16, 23, dtype=np.float32)

@@ -227,7 +227,7 @@ def test_nnbench_rejects_k_above_n_before_printing(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: k=100 exceeds cloud size 64\n"
+    assert captured.err == "error: k=100 outside [1, 64]\n"
 
 
 @pytest.mark.parametrize("radius", ["nan", "0", "-1"])
@@ -250,8 +250,22 @@ def test_sample_without_count_or_ratio_exits_with_one_line(cloud_file, tmp_path,
     out = tmp_path / "out.xyz"
     assert main(["sample", "--input", str(cloud_file), "--method", "fps", "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "m or ratio" in err
+    assert err == "error: sample needs --count, --ratio or m in --config\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, rows",
+    [(["--count", "5", "--ratio", "2"], 5), (["--config", "{f}", "--ratio", "2"], 5), (["--ratio", "2"], 512)],
+    ids=["count-over-ratio", "config-m-over-ratio", "ratio-alone"],
+)
+def test_sample_takes_its_count_from_count_or_config_m_before_ratio(cloud_file, tmp_path, flags, rows):
+    config = tmp_path / "m5.cfg"
+    config.write_text("m=5\n")
+    out = tmp_path / "out.xyz"
+    argv = ["sample", "--input", str(cloud_file), "--method", "rs", "--output", str(out), *flags]
+    assert main([a.format(f=config) for a in argv]) == 0
+    assert read_xyz(out).n == rows  # the cloud holds 1024 points
 
 
 def test_train_writes_checkpoint_and_history(tmp_path, capsys):
@@ -399,7 +413,7 @@ def test_bench_rejects_an_invalid_ratio_before_any_timing(tmp_path, monkeypatch,
     code = main(["bench", "--input", str(_small_clouds(tmp_path)), "--methods", "rs", "--ratios", "2,100"])
     captured = capsys.readouterr()
     assert code == 1 and calls == [] and captured.out == ""
-    assert captured.err == "error: ratio 100 invalid for n=64\n"
+    assert captured.err == "error: ratio=100 outside [1, 64]\n"
 
 
 def test_bench_rejects_labels_naming_no_input_cloud_before_any_timing(tmp_path, monkeypatch, capsys):
@@ -622,11 +636,11 @@ def _one_line(capsys, code, expected_code, line):
 # IoFailureError that the CLI can reach; {c} is a 64-point cloud, {t} a
 # 100-byte .bin, {o} an output path
 FOLDED_CLASS_CASES = {
-    "k-above-n": (["bench", "--input", "{d}", "--methods", "casnet", "--k", "100", "--oa", "1"], 1, "error: k=100 exceeds cloud size 64"),
+    "k-above-n": (["bench", "--input", "{d}", "--methods", "casnet", "--k", "100", "--oa", "1"], 1, "error: c.xyz at ratio 2: k=100 outside [1, 64]"),
     "m-above-n": (["sample", "--input", "{c}", "--method", "fps", "--count", "100", "--output", "{o}"], 1, "error: m=100 outside [1, 64]"),
-    "ratio-above-n": (["sample", "--input", "{c}", "--method", "rs", "--ratio", "100", "--output", "{o}"], 1, "error: ratio 100 invalid for n=64"),
+    "ratio-above-n": (["sample", "--input", "{c}", "--method", "rs", "--ratio", "100", "--output", "{o}"], 1, "error: ratio=100 outside [1, 64]"),
     "zero-chunks": (["sample", "--input", "{c}", "--method", "fps-chunked", "--chunks", "0", "--count", "8", "--output", "{o}"], 1, "error: chunks=0 outside [1, 64]"),
-    "one-column-cosine": (["train", *TINY_TRAIN, "--count", "1", "--out", "{o}"], 1, "error: need at least two vectors"),
+    "one-column-cosine": (["train", *TINY_TRAIN, "--count", "1", "--out", "{o}"], 1, "error: m must be >= 2"),
     "truncated-bin": (["sample", "--input", "{t}", "--method", "fps", "--count", "1", "--output", "{o}"], 2, "io error: {t}: size 100 is not a multiple of 16"),
 }
 
@@ -709,7 +723,7 @@ def test_sample_rejects_a_bad_config_with_one_line_whatever_the_method(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k, line", [("0", "error: k must be >= 1"), ("100", "error: k=100 exceeds cloud size 64")], ids=["zero", "above-n"])
+@pytest.mark.parametrize("k, line", [("0", "error: k must be >= 1"), ("100", "error: c.xyz at ratio 2: k=100 outside [1, 64]")], ids=["zero", "above-n"])
 def test_bench_with_weights_rejects_a_bad_k_before_timing(tmp_path, monkeypatch, capsys, k, line):
     weights = tmp_path / "w.pcw"
     _write_weights(weights, CasNetConfig(k=1, oa_layers=1, c=16, m=32, embed_hidden=16, score_hidden=16), 32)

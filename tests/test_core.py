@@ -57,9 +57,9 @@ def test_ratio_to_count(n, d, expected):
 
 
 def test_ratio_to_count_rejects_bad_ratio():
-    with pytest.raises(ConfigError, match=r"^ratio 0 invalid for n=1024$"):
+    with pytest.raises(ConfigError, match=r"^ratio=0 outside \[1, 1024\]$"):
         ratio_to_count(1024, 0)
-    with pytest.raises(ConfigError, match=r"^ratio 5 invalid for n=4$"):
+    with pytest.raises(ConfigError, match=r"^ratio=5 outside \[1, 4\]$"):
         ratio_to_count(4, 5)
 
 
@@ -72,8 +72,8 @@ def test_config_defaults_follow_reference_setup():
 def test_config_validation():
     cfg = CasNetConfig(m=32)
     cfg.validate(256)
-    with pytest.raises(ConfigError):
-        CasNetConfig(m=None, ratio=None).validate(256)
+    with pytest.raises(ConfigError, match=r"^m is not set$"):
+        CasNetConfig().validate(256)
     with pytest.raises(ConfigError):
         CasNetConfig(m=32, radius=-1).validate(256)
     CasNetConfig(m=32, radius=float("inf")).validate(256)  # an unbounded radius
@@ -81,11 +81,6 @@ def test_config_validation():
         CasNetConfig(m=32, backend="octree").validate(256)
     with pytest.raises(PcsimpError):
         CasNetConfig(m=32, k=300).validate(256)
-
-
-def test_config_output_count_uses_ratio():
-    assert CasNetConfig(ratio=4).output_count(1024) == 256
-    assert CasNetConfig(m=100, ratio=4).output_count(1024) == 100  # explicit m wins
 
 
 def test_config_from_file(tmp_path):
@@ -98,9 +93,11 @@ def test_config_from_file(tmp_path):
 
 def test_config_from_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("neighbours=3\n")
-    with pytest.raises(ConfigError):
-        CasNetConfig.from_file(path)
+    # a ratio is no key: the CLI turns --ratio into m
+    for key in ("neighbours", "ratio"):
+        path.write_text(f"{key}=2\n")
+        with pytest.raises(ConfigError, match=rf":1: unknown key '{key}'$"):
+            CasNetConfig.from_file(path)
 
 
 CLOUD_FREE_RULES = [
@@ -176,7 +173,7 @@ def test_parse_failure_is_an_io_failure_that_keeps_its_line():
         ({"cosine_axis": "diag"}, "cosine_axis must be one of ('columns',)"),
         ({"m": 0}, "m=0 outside [1, 256]"),
         ({"m": 300}, "m=300 outside [1, 256]"),
-        ({"k": 300}, "k=300 exceeds cloud size 256"),
+        ({"k": 300}, "k=300 outside [1, 256]"),
     ],
 )
 def test_config_validation_names_the_field(changes, message):

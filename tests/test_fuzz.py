@@ -118,7 +118,7 @@ def test_load_arrays_parses_or_raises_a_documented_error(path, data):
         assert isinstance(name, str) and arr.dtype == np.float32 and np.isfinite(arr).all()
 
 
-CONFIG_KEYS = st.one_of(st.sampled_from(["k", "oa_layers", "c", "radius", "backend", "m", "ratio", "mode", "seed", "cosine_axis"]), st.text(max_size=4))
+CONFIG_KEYS = st.one_of(st.sampled_from(["k", "oa_layers", "c", "radius", "backend", "m", "mode", "seed", "cosine_axis"]), st.text(max_size=4))
 
 
 @given(text_files(st.one_of(st.tuples(CONFIG_KEYS, TOKENS, WORDS).map(lambda t: f"{t[0]}{t[1]}{t[2]}"), WORDS)))

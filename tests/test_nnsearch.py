@@ -57,7 +57,7 @@ def test_knn_matches_oracle_on_random_points():
 
 
 def test_knn_rejects_k_above_n():
-    with pytest.raises(ConfigError, match=r"^k=3 exceeds cloud size 2$"):
+    with pytest.raises(ConfigError, match=r"^k=3 outside \[1, 2\]$"):
         ball_query(PointCloud(np.zeros((2, 3))), np.inf, 3)
 
 

@@ -176,6 +176,17 @@ def test_train_degenerate_full_output_size_runs():
     assert len(history.epochs) == 1
 
 
+def test_train_refuses_one_output_point_before_any_forward(monkeypatch):
+    calls = []
+    real = casnet.forward
+    monkeypatch.setattr(casnet, "forward", lambda *a: calls.append(1) or real(*a))
+    config = CasNetConfig(k=1, oa_layers=1, c=8, m=1, embed_hidden=8, score_hidden=8)
+    spec = DatasetSpec(train_per_class=1, test_per_class=1, points_per_cloud=16, seed=0)
+    with pytest.raises(ConfigError, match=r"^m must be >= 2$"):
+        training.train(config, generate_dataset(spec), epochs=1, lr=1e-3, batch_size=2)
+    assert calls == []
+
+
 def test_train_is_deterministic_given_seed():
     _, _, h1 = _tiny_train("ahsn", seed=5)
     _, _, h2 = _tiny_train("ahsn", seed=5)
